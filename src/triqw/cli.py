@@ -43,7 +43,7 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_chi(args) -> None:

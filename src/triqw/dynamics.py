@@ -36,6 +36,8 @@ class LatticeParams:
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("need at least one mode")
+        if not (np.isfinite(self.onsite) and np.isfinite(self.tunneling)):
+            raise ValueError("on-site energy and tunneling rate must be finite")
         if self.tunneling == 0.0:
             raise ValueError("tunneling rate must be non-zero")
 

@@ -9,7 +9,11 @@ Two quantities are computed for a three-party split of the modes:
   local space are biseparable and contribute exactly zero.
 * ``geometric_measure`` -- the mode-entanglement tensor norm built from
   triple products of su(d) generators on the occupation-qubit
-  isomorphism, minus its value on fully factorized kets.
+  isomorphism, minus its value on fully factorized kets.  Production
+  code evaluates the generator sum through its closed form in the
+  one-party marginal purities (``_geometric_kernel``); the generator
+  contraction ``tensor_norm_squared`` stays as the definitional
+  reference.
 
 Fermionic bookkeeping: a global ket maps onto the blocked local basis
 with the parity sign of the permutation that reorders its creation
@@ -396,11 +400,6 @@ def su_generators(dim: int) -> np.ndarray:
     return math.sqrt(dim / 2.0) * np.array(mats)
 
 
-# (prefactor inside the root, separable norm) per party mode count; the
-# separable norm equals the tensor norm of any fully factorized ket.
-_TENSOR_NORM_CONSTANTS = {1: (1.0, 1.0), 2: (8.0, 6.0 * math.sqrt(6.0))}
-
-
 def mode_qubit_tensor(state: ManyBodyState, partition: Partition) -> np.ndarray:
     """Map a hard-core state onto the three-party occupation-qubit tensor.
 
@@ -448,17 +447,55 @@ def tensor_norm_squared(psis: np.ndarray, gens: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(corr) ** 2, axis=(-3, -2, -1))
 
 
+def _tensor_norm_constants(dim: int) -> tuple[float, float]:
+    """(prefactor inside the root, separable norm) for d-level parties.
+
+    The separable norm is the tensor norm of any fully factorized ket,
+    sqrt(prefactor * (d^3 - 1 - 3 d (d - 1))); both are (1, 1) for d=2
+    and (8, 6 sqrt 6) for d=4.
+    """
+    return (dim / 2.0) ** 3, (dim * (dim - 1) / 2.0) ** 1.5
+
+
+def _geometric_kernel(psis: np.ndarray) -> np.ndarray:
+    """Batched geometric measure of (d, d, d) occupation-qubit tensors.
+
+    ``psis`` carries arbitrary leading axes.  On a pure state the
+    generator completeness relation sum_i g_i (x) g_i = d SWAP - 1
+    collapses the triple sum of ``tensor_norm_squared`` to
+
+        sum_ijk |T_ijk|^2 = (d^3 - 1) n^2 - d (d - 1) sum_X Tr rho_X^2,
+
+    with n = <psi|psi> and rho_X the unnormalised one-party marginals,
+    so no generator is contracted and unnormalised input gives the same
+    value as the generator path.
+    """
+    dim = psis.shape[-1]
+    norm = np.sum(np.abs(psis) ** 2, axis=(-3, -2, -1))
+    marginals = ("...abc,...xbc->...ax", "...abc,...ayc->...by", "...abc,...abz->...cz")
+    purities = sum(
+        np.sum(np.abs(np.einsum(spec, psis, psis.conj())) ** 2, axis=(-2, -1))
+        for spec in marginals
+    )
+    total = (dim**3 - 1) * norm**2 - dim * (dim - 1) * purities
+    prefactor, sep_norm = _tensor_norm_constants(dim)
+    return np.sqrt(prefactor * total) - sep_norm
+
+
+def _check_geometric_partition(partition: Partition) -> None:
+    m = len(partition.a)
+    if m not in (1, 2) or {len(p) for p in partition.parties} != {m}:
+        raise ValueError("geometric measure supports equal party sizes of 1 or 2 modes")
+
+
 def geometric_measure(state: ManyBodyState, partition: Partition) -> float:
     """Mode-entanglement tensor norm minus its fully-separable value.
 
     Supports parties of one mode (Pauli triple, separable norm 1) and
     two modes (fifteen su(4) generators, prefactor 8 inside the root,
-    separable norm 6*sqrt(6)).  Defined here for pure states only.
+    separable norm 6*sqrt(6)).  Defined here for pure states only, and
+    evaluated from the marginal purities by ``_geometric_kernel`` as a
+    batch of one.
     """
-    m = len(partition.a)
-    if m not in _TENSOR_NORM_CONSTANTS or {len(p) for p in partition.parties} != {m}:
-        raise ValueError("geometric measure supports equal party sizes of 1 or 2 modes")
-    prefactor, sep_norm = _TENSOR_NORM_CONSTANTS[m]
-    psi = mode_qubit_tensor(state, partition)
-    total = float(tensor_norm_squared(psi, su_generators(2**m)))
-    return math.sqrt(prefactor * total) - sep_norm
+    _check_geometric_partition(partition)
+    return float(_geometric_kernel(mode_qubit_tensor(state, partition)))

@@ -2,9 +2,9 @@
 
 Each scan returns plain arrays; serialization stays in the CLI.  The
 phase-grid scan batches whole grid rows through the vectorized sector
-and tensor-norm kernels, which keeps the 101 x 101 default grid at a
-few seconds; every value agrees with the per-state reference path (see
-the test suite).
+negativities and the marginal-purity geometric kernel that
+``geometric_measure`` also uses; every value agrees with the per-state
+reference path (see the test suite).
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .entanglement import (
     entanglement_of_particles,
     geometric_measure,
     mode_qubit_tensor,
-    su_generators,
-    tensor_norm_squared,
-    _TENSOR_NORM_CONSTANTS,
+    _check_geometric_partition,
+    _geometric_kernel,
     PROBABILITY_FLOOR,
 )
 from .fock import ManyBodyState, Statistics, build_monomial_state, enumerate_basis
@@ -68,6 +67,7 @@ def phi_scan(
     """Both measures for the two-phase fermion family on a phase grid."""
     if alpha_steps < 2 or beta_steps < 2:
         raise ValueError("need at least two grid steps per axis")
+    _check_geometric_partition(partition)
     basis = phi_basis()
     alphas = np.linspace(0.0, math.pi, alpha_steps)
     betas = np.linspace(0.0, math.pi, beta_steps)
@@ -84,9 +84,6 @@ def phi_scan(
         if min(sector.dims) > 1
     }
 
-    m = len(partition.a)
-    prefactor, sep_norm = _TENSOR_NORM_CONSTANTS[m]
-    gens = su_generators(2**m)
     ket_tensors = np.stack(
         [
             mode_qubit_tensor(ManyBodyState(basis, kets[i]), partition)
@@ -100,7 +97,7 @@ def phi_scan(
         weights = np.stack([phi_weights(alpha, beta) for beta in betas])  # (B, 4)
 
         psis = np.einsum("gm,mabc->gabc", weights, ket_tensors)
-        eps_g[i] = np.sqrt(prefactor * tensor_norm_squared(psis, gens)) - sep_norm
+        eps_g[i] = _geometric_kernel(psis)
 
         row = np.zeros(beta_steps)
         for dims, ket_map in sector_maps.values():

@@ -14,13 +14,24 @@ from triqw import (
     snapshot,
     walk_scan,
 )
-from triqw.cli import main
+from triqw.cli import _json, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def assert_config_error(capsys, *argv):
+    """Exit 2, nothing on stdout and a one-line ``error:`` message."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 class TestChiCommand:
@@ -72,6 +83,9 @@ class TestPhiScanCommand:
         code, _ = run_cli(capsys, "phi-scan", "--alpha-steps", "1")
         assert code == 2
 
+    def test_unequal_party_sizes_exit_two(self, capsys):
+        assert_config_error(capsys, "phi-scan", "--partition", "1,2,3|4,5|6")
+
 
 class TestWalkCommand:
     def test_csv_structure(self, capsys):
@@ -120,6 +134,9 @@ class TestWalkCommand:
         code, _ = run_cli(capsys, "walk", "--steps", "0")
         assert code == 2
 
+    def test_non_finite_onsite_exits_two(self, capsys):
+        assert_config_error(capsys, "walk", "--onsite", "nan")
+
 
 class TestSnapshotCommand:
     def test_json_record_schema(self, capsys):
@@ -147,6 +164,13 @@ class TestSnapshotCommand:
         code, out = run_cli(capsys, "snapshot", "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 6 + 36 + 6
+
+    def test_infinite_onsite_exits_two(self, capsys):
+        assert_config_error(capsys, "snapshot", "--onsite", "inf")
+
+    def test_json_rejects_non_finite_values(self):
+        with pytest.raises(ValueError):
+            _json({"value": float("nan")})
 
     def test_fermion_peak_pair_is_adjacent_in_first_half(self, capsys):
         """Largest fermionic pair correlation at tau = 8.7 on a |r-s| = 1

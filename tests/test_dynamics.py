@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -169,3 +170,17 @@ def test_lattice_params_validation():
         LatticeParams(0)
     with pytest.raises(ValueError):
         LatticeParams(6, tunneling=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tunneling": math.nan},
+        {"tunneling": math.inf},
+        {"onsite": math.nan},
+        {"onsite": -math.inf},
+    ],
+)
+def test_lattice_params_rejects_non_finite_energies(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        LatticeParams(6, **kwargs)

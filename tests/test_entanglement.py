@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     bubble_sort_parity,
@@ -32,7 +35,11 @@ from triqw import (
     su_generators,
     tripartite_negativity,
 )
-from triqw.entanglement import tensor_norm_squared
+from triqw.entanglement import (
+    _geometric_kernel,
+    _tensor_norm_constants,
+    tensor_norm_squared,
+)
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS
@@ -440,3 +447,54 @@ class TestGeometricMeasure:
         state = ManyBodyState.basis_ket(basis, (2, 0, 0))
         with pytest.raises(ValueError):
             geometric_measure(state, CHI_PARTITION)
+
+
+# (prefactor inside the root, separable norm) of the geometric measure for
+# one-mode (d=2) and two-mode (d=4) parties, written out as literals
+GEOMETRIC_CONSTANTS = {2: (1.0, 1.0), 4: (8.0, 6.0 * math.sqrt(6.0))}
+
+
+def eps_g_from_norm(total, dim: int):
+    prefactor, sep_norm = GEOMETRIC_CONSTANTS[dim]
+    return np.sqrt(prefactor * total) - sep_norm
+
+
+@st.composite
+def qubit_tensors(draw):
+    """Unnormalised complex (d, d, d) tensors with batch shape () or (k,)."""
+    dim = draw(st.sampled_from([2, 4]))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    elements = st.complex_numbers(
+        max_magnitude=2.0, allow_nan=False, allow_infinity=False
+    )
+    return dim, draw(arrays(np.complex128, batch + (dim, dim, dim), elements=elements))
+
+
+class TestGeometricKernel:
+    """The marginal-purity kernel against the generator contraction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(qubit_tensors())
+    def test_matches_generator_contraction(self, case):
+        dim, psis = case
+        kernel = _geometric_kernel(psis)
+        assert kernel.shape == psis.shape[:-3]
+        reference = eps_g_from_norm(tensor_norm_squared(psis, su_generators(dim)), dim)
+        assert np.abs(kernel - reference).max() <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(qubit_tensors())
+    def test_matches_marginal_purity_oracle(self, case):
+        dim, psis = case
+        kernel = _geometric_kernel(psis).reshape(-1)
+        singles = psis.reshape(-1, dim, dim, dim)
+        for value, psi in zip(kernel, singles):
+            reference = eps_g_from_norm(marginal_purity_tensor_norm(psi, dim), dim)
+            assert abs(value - reference) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_constant_formulas(self, dim):
+        prefactor, sep_norm = _tensor_norm_constants(dim)
+        expected_prefactor, expected_sep = GEOMETRIC_CONSTANTS[dim]
+        assert prefactor == pytest.approx(expected_prefactor, abs=1e-14)
+        assert sep_norm == pytest.approx(expected_sep, abs=1e-14)
