@@ -2,13 +2,16 @@
 
 Two quantities are computed for a three-party split of the modes:
 
-* ``entanglement_of_particles`` -- projects the state onto fixed local
-  particle-number sectors, applies the tripartite negativity to each
-  sector on its local tensor-product basis and averages with the sector
-  probabilities.  Sectors in which some party has a one-dimensional
-  local space are biseparable and contribute exactly zero.
-* ``geometric_measure`` -- the mode-entanglement tensor norm built from
-  triple products of su(d) generators on the occupation-qubit
+* ``entanglement_of_particles`` (``eps_T``) -- projects the state onto
+  fixed local particle-number sectors, applies the tripartite negativity
+  to each sector on its local tensor-product basis and averages with the
+  sector probabilities.  Sectors in which some party has a
+  one-dimensional local space are biseparable and contribute exactly
+  zero.  One batched kernel (``_eps_t_kernel``) serves the per-state
+  function and the scans; every partial-transpose negativity goes
+  through ``_negativity``.
+* ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
+  built from triple products of su(d) generators on the occupation-qubit
   isomorphism, minus its value on fully factorized kets.  Production
   code evaluates the generator sum through its closed form in the
   one-party marginal purities (``_geometric_kernel``); the generator
@@ -177,39 +180,58 @@ class SectorDecomposition:
                 mat[flat, gi] = sign
             self.sectors[counts] = Sector(counts, dims, local_bases, mat)
 
-    def sector_amplitudes(self, amps: np.ndarray) -> dict[tuple[int, int, int], np.ndarray]:
-        """Map (batches of) pure-state amplitudes into every sector.
-
-        ``amps`` has the basis dimension on its last axis; the result
-        keeps leading axes, so grids of states project in one call.
-        """
-        return {counts: amps @ s.matrix.T for counts, s in self.sectors.items()}
-
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
             raise ValueError("state basis does not match the decomposition")
-        out = []
-        for counts, vec in self.sector_amplitudes(state.amp).items():
-            prob = float(np.vdot(vec, vec).real)
-            rho = None
-            if prob > PROBABILITY_FLOOR:
-                sector = self.sectors[counts]
-                rho = DensityMatrix(sector.dims, np.outer(vec, vec.conj()) / prob)
-            out.append(SectorState(counts, self.sectors[counts].dims, prob, rho))
-        return out
+        return self._project(state.amp[None])
 
     def project_density(self, dm: DensityMatrix) -> list[SectorState]:
         if dm.mat.shape != (len(self.basis), len(self.basis)):
             raise ValueError("density matrix does not match the basis dimension")
+        return self._project(dm.mat[None])
+
+    def _project(self, stack: np.ndarray) -> list[SectorState]:
         out = []
         for counts, sector in self.sectors.items():
-            block = sector.matrix @ dm.mat @ sector.matrix.T
-            prob = float(block.trace().real)
+            probs, parts = _sector_parts(sector, stack)
             rho = None
-            if prob > PROBABILITY_FLOOR:
-                rho = DensityMatrix(sector.dims, block / prob)
-            out.append(SectorState(counts, sector.dims, prob, rho))
+            if probs[0] > PROBABILITY_FLOOR:
+                rho = DensityMatrix(sector.dims, _normalized_blocks(parts, probs)[0])
+            out.append(SectorState(counts, sector.dims, float(probs[0]), rho))
         return out
+
+
+def _sector_parts(sector: Sector, states: np.ndarray):
+    """Sector probabilities (B,) and parts of a stack of states: the (B, d)
+    local amplitudes of (B, n) amplitude vectors, or the unnormalised
+    (B, d, d) blocks of (B, n, n) density matrices."""
+    if states.ndim == 3:
+        blocks = sector.matrix @ states @ sector.matrix.T
+        return np.trace(blocks, axis1=1, axis2=2).real, blocks
+    vecs = states @ sector.matrix.T
+    return np.sum(np.abs(vecs) ** 2, axis=1), vecs
+
+
+def _normalized_blocks(parts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Trace-one density blocks of sector parts with non-zero probabilities."""
+    if parts.ndim == 3:
+        return parts / probs[:, None, None]
+    normed = parts / np.sqrt(probs)[:, None]
+    return normed[:, :, None] * normed[:, None, :].conj()
+
+
+def _decomposed(state, partition: Partition, basis: FockBasis | None):
+    """Decomposition and batch-of-one stack of a ManyBodyState, or of a
+    DensityMatrix on the full Fock basis ``basis``."""
+    if isinstance(state, ManyBodyState):
+        return SectorDecomposition(state.basis, partition), state.amp[None]
+    if not isinstance(state, DensityMatrix):
+        raise TypeError("expected a ManyBodyState or a DensityMatrix")
+    if basis is None:
+        raise TypeError("a DensityMatrix input needs the Fock basis")
+    if state.mat.shape != (len(basis), len(basis)):
+        raise ValueError("density matrix does not match the basis dimension")
+    return SectorDecomposition(basis, partition), state.mat[None]
 
 
 def project_sector(
@@ -223,22 +245,12 @@ def project_sector(
     input and yield probability zero.
     """
     counts = tuple(int(n) for n in counts)
-    if isinstance(state, ManyBodyState):
-        basis = state.basis
-        dec = SectorDecomposition(basis, partition)
-        results = dec.project_state(state)
-    elif isinstance(state, DensityMatrix):
-        if basis is None:
-            raise TypeError("a DensityMatrix input needs the Fock basis")
-        dec = SectorDecomposition(basis, partition)
-        results = dec.project_density(state)
-    else:
-        raise TypeError("expected a ManyBodyState or a DensityMatrix")
-    if sum(counts) != basis.n_particles:
+    dec, stack = _decomposed(state, partition, basis)
+    if sum(counts) != dec.basis.n_particles:
         raise ValueError(
-            f"sector counts {counts} do not sum to N={basis.n_particles}"
+            f"sector counts {counts} do not sum to N={dec.basis.n_particles}"
         )
-    for sec in results:
+    for sec in dec._project(stack):
         if sec.counts == counts:
             return sec
     return SectorState(counts, (0, 0, 0), 0.0, None)
@@ -262,12 +274,13 @@ def hermitian_eigenvalues(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
-def _partial_transpose(mat: np.ndarray, dims, party: int) -> np.ndarray:
+def _partial_transpose(mats: np.ndarray, dims, party: int) -> np.ndarray:
+    """Transpose one party's indices of (a stack of) matrices on ``dims``."""
     dims = tuple(dims)
-    n = len(dims)
-    tensor = mat.reshape(dims + dims)
-    tensor = np.swapaxes(tensor, party, party + n)
-    return tensor.reshape(mat.shape)
+    lead = mats.ndim - 2
+    tensor = mats.reshape(mats.shape[:lead] + dims + dims)
+    tensor = np.swapaxes(tensor, lead + party, lead + party + len(dims))
+    return tensor.reshape(mats.shape)
 
 
 def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
@@ -277,29 +290,64 @@ def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
     return DensityMatrix(rho.dims, _partial_transpose(rho.mat, rho.dims, party))
 
 
+def _negativity(mats: np.ndarray, dims, party: int) -> np.ndarray:
+    """One-versus-rest negativity of a stack of trace-one density matrices.
+
+    The sum of absolute eigenvalues of the partial transpose minus one,
+    floored at 0.  The partial transpose of a Hermitian matrix is
+    Hermitian, so the batched Hermitian solve applies; it reads one
+    triangle of each matrix.
+    """
+    eig = np.linalg.eigvalsh(_partial_transpose(mats, dims, party))
+    return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
+
+
 def bipartite_negativity(rho: DensityMatrix, party: int) -> float:
     """Sum of absolute partial-transpose eigenvalues minus one, floored at 0."""
     if abs(rho.trace() - 1.0) > NEGATIVITY_TRACE_TOL:
         raise ValueError("negativity expects a trace-one density matrix")
-    eig = hermitian_eigenvalues(_partial_transpose(rho.mat, rho.dims, party))
-    return max(0.0, float(np.abs(eig).sum() - 1.0))
+    return float(_negativity(rho.mat, rho.dims, party))
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
     """Geometric mean of the three one-versus-rest negativities."""
     if len(rho.dims) != 3:
         raise ValueError("tripartite negativity needs dims (d_A, d_B, d_C)")
-    product = 1.0
-    for party in range(3):
-        n = bipartite_negativity(rho, party)
-        if n == 0.0:
-            return 0.0
-        product *= n
-    return float(np.cbrt(product))
+    return float(np.cbrt(np.prod([bipartite_negativity(rho, p) for p in range(3)])))
 
 
 # ---------------------------------------------------------------------------
 # entanglement of particles
+
+
+def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
+    """Batched sector negativities and ``eps_T`` of a stack of states.
+
+    ``states`` is a (B, n) stack of amplitude vectors or a (B, n, n)
+    stack of density matrices on ``dec.basis``.  Returns, with sectors in
+    the order of ``dec.sectors``:
+
+    * ``probs`` (B, S), set to exactly 0 at or below PROBABILITY_FLOOR;
+    * ``negs`` (B, S, 4): N_A|BC, N_B|AC, N_C|AB and their geometric
+      mean (TPN), all 0 in dropped sectors and in sectors where a party
+      has a one-dimensional local space (biseparable across that cut;
+      skipping them also keeps the cube root from amplifying eigensolver
+      noise on the zero factor);
+    * ``eps_t`` (B,), the probability-weighted sum of the TPN.
+    """
+    probs = np.zeros((len(states), len(dec.sectors)))
+    negs = np.zeros(probs.shape + (4,))
+    for k, sector in enumerate(dec.sectors.values()):
+        prob, parts = _sector_parts(sector, states)
+        live = prob > PROBABILITY_FLOOR
+        probs[live, k] = prob[live]
+        if min(sector.dims) == 1 or not live.any():
+            continue
+        rhos = _normalized_blocks(parts[live], prob[live])
+        cuts = np.stack([_negativity(rhos, sector.dims, p) for p in range(3)], axis=-1)
+        negs[live, k, :3] = cuts
+        negs[live, k, 3] = np.cbrt(np.prod(cuts, axis=-1))
+    return probs, negs, np.sum(probs * negs[..., 3], axis=1)
 
 
 @dataclass(frozen=True)
@@ -334,37 +382,20 @@ def entanglement_of_particles(
     """Sector-averaged tripartite negativity of a state or density matrix.
 
     ``state`` is a ManyBodyState, or a DensityMatrix on the full Fock
-    basis with ``basis`` passed explicitly.  Sectors with probability
-    below 1e-14 are skipped.  Sectors in which any party has a
+    basis with ``basis`` passed explicitly.  Evaluated by
+    ``_eps_t_kernel`` as a batch of one; the report lists the sectors
+    with probability above 1e-14, and sectors in which any party has a
     one-dimensional local space (no particles, or no room left by
-    exclusion) are biseparable across that cut, so their tripartite
-    negativity is exactly zero; short-circuiting them keeps the cube
-    root from amplifying eigensolver noise on the zero factor.
+    exclusion) carry zero negativities.
     """
-    if isinstance(state, ManyBodyState):
-        dec = SectorDecomposition(state.basis, partition)
-        sector_states = dec.project_state(state)
-    elif isinstance(state, DensityMatrix):
-        if basis is None:
-            raise TypeError("a DensityMatrix input needs the Fock basis")
-        dec = SectorDecomposition(basis, partition)
-        sector_states = dec.project_density(state)
-    else:
-        raise TypeError("expected a ManyBodyState or a DensityMatrix")
-
-    records = []
-    total = 0.0
-    for sec in sector_states:
-        if sec.prob <= PROBABILITY_FLOOR:
-            continue
-        if min(sec.dims) == 1:
-            records.append(SectorRecord(sec.counts, sec.prob, 0.0, 0.0, 0.0, 0.0))
-            continue
-        negs = [bipartite_negativity(sec.rho, party) for party in range(3)]
-        tpn = 0.0 if 0.0 in negs else float(np.cbrt(negs[0] * negs[1] * negs[2]))
-        records.append(SectorRecord(sec.counts, sec.prob, *negs, tpn))
-        total += sec.prob * tpn
-    return EntanglementReport(partition, tuple(records), total)
+    dec, stack = _decomposed(state, partition, basis)
+    probs, negs, eps_t = _eps_t_kernel(dec, stack)
+    records = tuple(
+        SectorRecord(counts, float(prob), *(float(n) for n in sector_negs))
+        for counts, prob, sector_negs in zip(dec.sectors, probs[0], negs[0])
+        if prob > 0.0
+    )
+    return EntanglementReport(partition, records, float(eps_t[0]))
 
 
 # ---------------------------------------------------------------------------

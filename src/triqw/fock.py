@@ -79,10 +79,6 @@ class FockBasis:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
     def index(self, occ) -> int:
         """Position of an occupation tuple in the enumeration."""
         return self._index[tuple(occ)]
@@ -167,6 +163,8 @@ class ManyBodyState:
             raise ValueError(
                 f"amplitude vector has shape {self.amp.shape}, basis has {len(self.basis)} states"
             )
+        if not np.isfinite(self.amp).all():
+            raise ValueError("amplitudes must be finite")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
@@ -207,6 +205,8 @@ class DensityMatrix:
         d = int(np.prod(self.dims))
         if self.mat.shape != (d, d):
             raise ValueError(f"matrix shape {self.mat.shape} does not match dims {self.dims}")
+        if not np.isfinite(self.mat).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(self.mat - self.mat.conj().T).max() > 1e-12:
             raise ValueError("density matrix is not Hermitian within 1e-12")
 

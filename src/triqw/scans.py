@@ -1,10 +1,13 @@
 """Scenario computations behind the command-line runner.
 
 Each scan returns plain arrays; serialization stays in the CLI.  The
-phase-grid scan batches whole grid rows through the vectorized sector
-negativities and the marginal-purity geometric kernel that
-``geometric_measure`` also uses; every value agrees with the per-state
-reference path (see the test suite).
+scans call the same batched kernels as the per-state measures: the
+phase-grid scan passes one grid row at a time to the ``eps_T`` and
+``eps_G`` kernels, and the walk builds one sector decomposition and
+passes all its time samples to the ``eps_T`` kernel in one call.
+Sample counts are capped (MAX_GRID_STEPS per phase axis,
+MAX_TIME_SAMPLES per walk) because memory grows with them; larger
+requests are rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LatticeParams, single_particle_propagator
+from .dynamics import LatticeParams, evolve_state, single_particle_propagator
 from .entanglement import (
     Partition,
     SectorDecomposition,
@@ -22,10 +25,10 @@ from .entanglement import (
     geometric_measure,
     mode_qubit_tensor,
     _check_geometric_partition,
+    _eps_t_kernel,
     _geometric_kernel,
-    PROBABILITY_FLOOR,
 )
-from .fock import ManyBodyState, Statistics, build_monomial_state, enumerate_basis
+from .fock import ManyBodyState, Statistics, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
@@ -40,6 +43,9 @@ from .states import (
     phi_basis,
     phi_weights,
 )
+
+MAX_GRID_STEPS = 501
+MAX_TIME_SAMPLES = 10_000
 
 
 def chi_report(partition: Partition = CHI_PARTITION) -> dict[str, float]:
@@ -65,8 +71,8 @@ def phi_scan(
     partition: Partition = ADJACENT_PARTITION,
 ) -> PhiScan:
     """Both measures for the two-phase fermion family on a phase grid."""
-    if alpha_steps < 2 or beta_steps < 2:
-        raise ValueError("need at least two grid steps per axis")
+    if not (2 <= alpha_steps <= MAX_GRID_STEPS and 2 <= beta_steps <= MAX_GRID_STEPS):
+        raise ValueError(f"need between 2 and {MAX_GRID_STEPS} grid steps per axis")
     _check_geometric_partition(partition)
     basis = phi_basis()
     alphas = np.linspace(0.0, math.pi, alpha_steps)
@@ -75,15 +81,7 @@ def phi_scan(
     kets = np.zeros((4, len(basis)), dtype=complex)
     for i, ket in enumerate(PHI_KETS):
         kets[i, basis.index(ket)] = 1.0
-
     dec = SectorDecomposition(basis, partition)
-    # per sector: local amplitudes of the four family kets
-    sector_maps = {
-        counts: (sector.dims, sector.matrix @ kets.T)
-        for counts, sector in dec.sectors.items()
-        if min(sector.dims) > 1
-    }
-
     ket_tensors = np.stack(
         [
             mode_qubit_tensor(ManyBodyState(basis, kets[i]), partition)
@@ -95,29 +93,8 @@ def phi_scan(
     eps_g = np.zeros((alpha_steps, beta_steps))
     for i, alpha in enumerate(alphas):
         weights = np.stack([phi_weights(alpha, beta) for beta in betas])  # (B, 4)
-
-        psis = np.einsum("gm,mabc->gabc", weights, ket_tensors)
-        eps_g[i] = _geometric_kernel(psis)
-
-        row = np.zeros(beta_steps)
-        for dims, ket_map in sector_maps.values():
-            vecs = weights @ ket_map.T  # (B, sector dim)
-            probs = np.sum(np.abs(vecs) ** 2, axis=1)
-            mask = probs > PROBABILITY_FLOOR
-            if not mask.any():
-                continue
-            normed = vecs[mask] / np.sqrt(probs[mask])[:, None]
-            rhos = np.einsum("gi,gj->gij", normed, normed.conj())
-            dim = dims[0] * dims[1] * dims[2]
-            product = np.ones(int(mask.sum()))
-            for party in range(3):
-                pt = np.swapaxes(
-                    rhos.reshape(-1, *dims, *dims), 1 + party, 4 + party
-                ).reshape(-1, dim, dim)
-                eig = np.linalg.eigvalsh(pt)
-                product *= np.maximum(0.0, np.abs(eig).sum(axis=1) - 1.0)
-            row[mask] += probs[mask] * np.cbrt(product)
-        eps_t[i] = row
+        eps_g[i] = _geometric_kernel(np.einsum("gm,mabc->gabc", weights, ket_tensors))
+        eps_t[i] = _eps_t_kernel(dec, weights @ kets)[2]
     return PhiScan(alphas, betas, eps_t, eps_g)
 
 
@@ -143,39 +120,27 @@ def walk_scan(
     """Entanglement time series of the three-particle walk.
 
     Samples ``steps`` times uniformly over [0, tau_max] (endpoints
-    included) and reports, per time, the single-occupancy sector
-    probability, its three one-versus-rest negativities, their
-    geometric mean and the sector-averaged total.
+    included, so at least two and at most MAX_TIME_SAMPLES) and reports,
+    per time, the single-occupancy sector probability, its three
+    one-versus-rest negativities, their geometric mean and the
+    sector-averaged total.
     """
-    if steps < 1:
-        raise ValueError("need at least one time sample")
+    if not 2 <= steps <= MAX_TIME_SAMPLES:
+        raise ValueError(f"need between 2 and {MAX_TIME_SAMPLES} time samples")
     init = tuple(init)
     params = LatticeParams(len(init), onsite=onsite)
     basis = enumerate_basis(sum(init), len(init), stats)
+    dec = SectorDecomposition(basis, partition)
     taus = np.linspace(0.0, tau_max, steps)
-
-    fields = {name: np.zeros(steps) for name in ("p111", "na", "nb", "nc", "tpn", "et")}
-    for i, tau in enumerate(taus):
-        prop = single_particle_propagator(params, tau)
-        state = build_monomial_state(basis, prop.mat, init)
-        report = entanglement_of_particles(state, partition)
-        fields["et"][i] = report.eps_t
-        record = report.sector((1, 1, 1))
-        if record is not None:
-            fields["p111"][i] = record.prob
-            fields["na"][i] = record.n_a_bc
-            fields["nb"][i] = record.n_b_ac
-            fields["nc"][i] = record.n_c_ab
-            fields["tpn"][i] = record.tpn
-    return WalkScan(
-        taus,
-        fields["p111"],
-        fields["na"],
-        fields["nb"],
-        fields["nc"],
-        fields["tpn"],
-        fields["et"],
+    amps = np.stack(
+        [evolve_state(init, params, tau, stats, basis=basis).amp for tau in taus]
     )
+    probs, negs, eps_t = _eps_t_kernel(dec, amps)
+    single = np.zeros((steps, 5))
+    if (1, 1, 1) in dec.sectors:
+        k = list(dec.sectors).index((1, 1, 1))
+        single = np.column_stack([probs[:, k], negs[:, k]])
+    return WalkScan(taus, *single.T, eps_t)
 
 
 def snapshot(

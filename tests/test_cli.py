@@ -15,6 +15,7 @@ from triqw import (
     walk_scan,
 )
 from triqw.cli import _json, main
+from triqw.scans import MAX_GRID_STEPS, MAX_TIME_SAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,9 @@ class TestPhiScanCommand:
     def test_grid_must_have_two_steps(self, capsys):
         code, _ = run_cli(capsys, "phi-scan", "--alpha-steps", "1")
         assert code == 2
+        assert_config_error(capsys, "phi-scan", "--beta-steps", "1")
+        assert_config_error(capsys, "phi-scan", "--alpha-steps", str(MAX_GRID_STEPS + 1))
+        assert_config_error(capsys, "phi-scan", "--beta-steps", str(MAX_GRID_STEPS + 1))
 
     def test_unequal_party_sizes_exit_two(self, capsys):
         assert_config_error(capsys, "phi-scan", "--partition", "1,2,3|4,5|6")
@@ -133,6 +137,8 @@ class TestWalkCommand:
     def test_bad_steps_exits_two(self, capsys):
         code, _ = run_cli(capsys, "walk", "--steps", "0")
         assert code == 2
+        assert_config_error(capsys, "walk", "--steps", "1")
+        assert_config_error(capsys, "walk", "--steps", str(MAX_TIME_SAMPLES + 1))
 
     def test_non_finite_onsite_exits_two(self, capsys):
         assert_config_error(capsys, "walk", "--onsite", "nan")

@@ -17,7 +17,9 @@ from triqw import (
     ADJACENT_PARTITION,
     ALTERNATING_PARTITION,
     CHI_PARTITION,
+    WALK_INIT,
     DensityMatrix,
+    LatticeParams,
     ManyBodyState,
     Partition,
     SectorDecomposition,
@@ -26,6 +28,7 @@ from triqw import (
     chi_state,
     entanglement_of_particles,
     enumerate_basis,
+    evolve_state,
     geometric_measure,
     hermitian_eigenvalues,
     mode_qubit_tensor,
@@ -34,8 +37,11 @@ from triqw import (
     project_sector,
     su_generators,
     tripartite_negativity,
+    walk_scan,
 )
 from triqw.entanglement import (
+    PROBABILITY_FLOOR,
+    _eps_t_kernel,
     _geometric_kernel,
     _tensor_norm_constants,
     tensor_norm_squared,
@@ -345,6 +351,96 @@ class TestEntanglementOfParticles:
         assert sector is not None
         assert sector.prob == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < report.eps_t < 1.0
+
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["state", "density"])
+    def test_non_finite_input_is_rejected(self, dense):
+        basis = enumerate_basis(3, 6, FER)
+        amp = random_state(basis, 47).amp
+        amp[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            if dense:
+                mat = np.outer(amp, amp.conj())
+                state = DensityMatrix((len(basis),), mat)
+                entanglement_of_particles(state, ADJACENT_PARTITION, basis=basis)
+            else:
+                entanglement_of_particles(ManyBodyState(basis, amp), ADJACENT_PARTITION)
+
+
+@st.composite
+def state_stacks(draw):
+    """(seed, batch size, rank) of a stack of random pure (rank 1) or
+    rank-2 mixed states."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    return seed, draw(st.integers(1, 3)), draw(st.sampled_from([1, 2]))
+
+
+def random_stack(basis, seed, batch, rank):
+    """(batch, n) amplitudes for rank 1, else (batch, n, n) density matrices."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(batch, rank, len(basis))) + 1j * rng.normal(
+        size=(batch, rank, len(basis))
+    )
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    if rank == 1:
+        return vecs[:, 0]
+    weights = rng.uniform(0.1, 1.0, size=(batch, rank))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return np.einsum("br,bri,brj->bij", weights, vecs, vecs.conj())
+
+
+class TestEpsTKernel:
+    """The batched eps_T kernel against the Jacobi oracle, per sector."""
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
+    @settings(max_examples=8, deadline=None)
+    @given(case=state_stacks())
+    def test_sector_negativities_match_jacobi_oracle(self, stats, partition, case):
+        basis = enumerate_basis(3, 6, stats)
+        dec = SectorDecomposition(basis, partition)
+        states = random_stack(basis, *case)
+        probs, negs, eps_t = _eps_t_kernel(dec, states)
+        dens = states if states.ndim == 3 else np.einsum("bi,bj->bij", states, states.conj())
+        for b, rho in enumerate(dens):
+            for k, sector in enumerate(dec.sectors.values()):
+                block = sector.matrix @ rho @ sector.matrix.T
+                prob = block.trace().real
+                if prob <= PROBABILITY_FLOOR:
+                    assert probs[b, k] == 0.0
+                    assert not negs[b, k].any()
+                    continue
+                assert probs[b, k] == pytest.approx(prob, abs=1e-12)
+                if min(sector.dims) == 1:
+                    assert not negs[b, k].any()
+                    continue
+                for party in range(3):
+                    expected = negativity_by_jacobi(block / prob, sector.dims, party)
+                    assert abs(negs[b, k, party] - expected) <= 1e-9
+            tpn = np.cbrt(np.prod(negs[b, :, :3], axis=-1))
+            assert np.abs(negs[b, :, 3] - tpn).max() <= 1e-12
+            assert eps_t[b] == pytest.approx(np.sum(probs[b] * tpn), abs=1e-12)
+        # a batch of B states equals B batches of one
+        for b in range(len(states)):
+            single = _eps_t_kernel(dec, states[b : b + 1])
+            for batched, alone in zip((probs, negs, eps_t), single):
+                assert np.abs(batched[b] - alone[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
+    def test_walk_scan_rows_match_per_state_reports(self, stats, partition):
+        scan = walk_scan(stats, partition, tau_max=6.0, steps=5)
+        params = LatticeParams(len(WALK_INIT))
+        for k, tau in enumerate(scan.taus):
+            state = evolve_state(WALK_INIT, params, tau, stats)
+            report = entanglement_of_particles(state, partition)
+            rec = report.sector((1, 1, 1))
+            expected = (0.0,) * 5 if rec is None else (
+                rec.prob, rec.n_a_bc, rec.n_b_ac, rec.n_c_ab, rec.tpn
+            )
+            row = (scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn)
+            assert np.abs(np.array([col[k] for col in row]) - expected).max() <= 1e-12
+            assert scan.eps_t[k] == pytest.approx(report.eps_t, abs=1e-12)
 
 
 def marginal_purity_tensor_norm(psi: np.ndarray, dim: int) -> float:

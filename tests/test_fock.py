@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triqw import (
+    DensityMatrix,
     FockBasis,
     ManyBodyState,
     Statistics,
@@ -206,3 +207,21 @@ def test_many_body_state_validation():
     state = ManyBodyState.basis_ket(basis, (0, 1, 0))
     assert state.norm() == pytest.approx(1.0)
     assert state.overlap(state) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_many_body_state_rejects_non_finite_amplitudes(bad):
+    basis = enumerate_basis(3, 6, FER)
+    amp = np.zeros(len(basis), dtype=complex)
+    amp[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ManyBodyState(basis, amp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # NaN slips through the Hermiticity residual, which compares with ">"
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix((2, 2), mat)
