@@ -8,7 +8,6 @@ walk scenarios that exercise them.
 
 from .dynamics import (
     LatticeParams,
-    Propagator,
     evolve_state,
     evolve_state_oracle,
     many_body_hamiltonian,
@@ -72,7 +71,6 @@ __all__ = [
     "PHI_KETS",
     "Partition",
     "PhiScan",
-    "Propagator",
     "Sector",
     "SectorDecomposition",
     "SectorState",

@@ -42,33 +42,31 @@ class LatticeParams:
             raise ValueError("tunneling rate must be non-zero")
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Single-particle transition amplitudes C[r-1, s-1] for site s -> r."""
-
-    n_modes: int
-    tau: float
-    mat: np.ndarray
-
-
-def single_particle_propagator(params: LatticeParams, tau: float) -> Propagator:
+def single_particle_propagator(params: LatticeParams, tau: float) -> np.ndarray:
     """Closed-form propagator of the reflecting L-site chain.
+
+    Returns the (L, L) matrix of transition amplitudes C[r-1, s-1] for
+    site s -> r:
 
     C_rs = (2/(L+1)) exp(-i G tau / T)
            * sum_k exp(-2 i tau cos(k pi/(L+1))) sin(r k pi/(L+1)) sin(s k pi/(L+1)),
 
     i.e. the sine-basis eigendecomposition of exp(-i H tau / T).  The
-    matrix is unitary and symmetric.
+    matrix is unitary and symmetric.  A tau whose phases are not finite
+    (a non-finite tau, or 2 tau or G tau / T overflowing) is rejected.
     """
-    if not np.isfinite(tau):
-        raise ValueError("tau must be finite")
     L = params.n_modes
     k = np.arange(1, L + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-2.0j * tau * np.cos(k * np.pi / (L + 1)))
+        global_phase = np.exp(-1.0j * params.onsite * tau / params.tunneling)
+    if not (np.isfinite(phases).all() and np.isfinite(global_phase)):
+        raise ValueError(
+            f"tau = {float(tau):g} gives non-finite propagator phases "
+            f"(on-site energy {params.onsite:g}, tunneling rate {params.tunneling:g})"
+        )
     sines = np.sin(np.outer(k, k) * np.pi / (L + 1))  # sines[r-1, k-1]
-    phases = np.exp(-2.0j * tau * np.cos(k * np.pi / (L + 1)))
-    global_phase = np.exp(-1.0j * params.onsite * tau / params.tunneling)
-    mat = (2.0 / (L + 1)) * global_phase * (sines * phases) @ sines.T
-    return Propagator(L, float(tau), mat)
+    return (2.0 / (L + 1)) * global_phase * (sines * phases) @ sines.T
 
 
 def many_body_hamiltonian(basis: FockBasis, params: LatticeParams) -> np.ndarray:
@@ -112,8 +110,7 @@ def evolve_state(
     init = tuple(init)
     if basis is None:
         basis = enumerate_basis(sum(init), params.n_modes, stats)
-    prop = single_particle_propagator(params, tau)
-    return build_monomial_state(basis, prop.mat, init)
+    return build_monomial_state(basis, single_particle_propagator(params, tau), init)
 
 
 def evolve_state_oracle(

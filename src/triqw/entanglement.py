@@ -18,8 +18,9 @@ Two quantities are computed for a three-party split of the modes:
   contraction ``tensor_norm_squared`` stays as the definitional
   reference.
 
-Fermionic bookkeeping: a global ket maps onto the blocked local basis
-with the parity sign of the permutation that reorders its creation
+Fermionic bookkeeping: each sector stores, per entry of its local
+product basis, the position of the global ket that entry gathers and
+the parity sign of the permutation that reorders the ket's creation
 string from party-blocked order to globally ascending order.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockBasis, ManyBodyState, Statistics, _occupation_vectors
+from .fock import DensityMatrix, FockBasis, ManyBodyState
 
 PROBABILITY_FLOOR = 1e-14
 NEGATIVITY_TRACE_TOL = 1e-10
@@ -93,11 +94,6 @@ class Partition:
         return "|".join(",".join(str(m) for m in p) for p in self.parties)
 
 
-def _local_patterns(n_modes: int, n_particles: int, stats: Statistics):
-    cap = 1 if stats.exclusive else n_particles
-    return tuple(_occupation_vectors(n_modes, n_particles, cap))
-
-
 def _inversion_parity(seq) -> float:
     inv = sum(
         1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
@@ -109,19 +105,17 @@ def _inversion_parity(seq) -> float:
 class Sector:
     """One fixed local-particle-number block of a partitioned basis.
 
-    ``matrix`` maps global amplitude vectors into the local product
-    basis (party A x party B x party C); its entries are the +-1
-    fermionic reordering signs (all +1 for bosons).
+    Entry ``f`` of the local product basis (party A x party B x party C,
+    each party's occupation patterns in ascending lexicographic order)
+    is the global basis state ``index[f]`` times ``sign[f]``, the +-1
+    fermionic reordering sign (all +1 for bosons).  ``dims`` counts each
+    party's patterns, so ``len(index) == prod(dims)``.
     """
 
     counts: tuple[int, int, int]
     dims: tuple[int, int, int]
-    local_bases: tuple[tuple[tuple[int, ...], ...], ...]
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.dims[0] * self.dims[1] * self.dims[2]
+    index: np.ndarray
+    sign: np.ndarray
 
 
 @dataclass
@@ -135,80 +129,65 @@ class SectorState:
 
 
 class SectorDecomposition:
-    """All local-particle-number sectors of a basis for one partition."""
+    """All local-particle-number sectors of a basis for one partition.
+
+    ``sectors`` maps the local counts (n_A, n_B, n_C) of every non-empty
+    sector, in ascending order, to its ``Sector``.  A sector holds every
+    combination of local patterns with its counts, so sorting its basis
+    states on their (A, B, C) local patterns yields the local product
+    basis in order.
+    """
 
     def __init__(self, basis: FockBasis, partition: Partition):
         partition.validate_cover(basis.n_modes)
         self.basis = basis
         self.partition = partition
 
-        patterns: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-        bookkeeping: dict[tuple[int, int, int], list[tuple[int, int, float]]] = {}
+        grouped: dict[tuple[int, int, int], list] = {}
         for gi, occ in enumerate(basis.states):
-            locals_ = tuple(
-                tuple(occ[m - 1] for m in party) for party in partition.parties
-            )
-            counts = tuple(sum(pat) for pat in locals_)
-            idx = []
-            dims = []
-            for party_no, (party, pat) in enumerate(zip(partition.parties, locals_)):
-                key = (party_no, counts[party_no])
-                if key not in patterns:
-                    pats = _local_patterns(len(party), counts[party_no], basis.stats)
-                    patterns[key] = {p: i for i, p in enumerate(pats)}
-                idx.append(patterns[key][pat])
-                dims.append(len(patterns[key]))
-            flat = (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
+            local = tuple(tuple(occ[m - 1] for m in party) for party in partition.parties)
             sign = 1.0
             if basis.stats.exclusive:
-                blocked = [
-                    m for party in partition.parties for m in party if occ[m - 1]
-                ]
+                blocked = [m for party in partition.parties for m in party if occ[m - 1]]
                 sign = _inversion_parity(blocked)
-            bookkeeping.setdefault(counts, []).append((gi, flat, sign))
+            grouped.setdefault(tuple(map(sum, local)), []).append((local, gi, sign))
 
         self.sectors: dict[tuple[int, int, int], Sector] = {}
-        for counts in sorted(bookkeeping):
-            dims = tuple(
-                len(patterns[(party_no, counts[party_no])]) for party_no in range(3)
-            )
-            local_bases = tuple(
-                tuple(patterns[(party_no, counts[party_no])]) for party_no in range(3)
-            )
-            mat = np.zeros((int(np.prod(dims)), len(basis)))
-            for gi, flat, sign in bookkeeping[counts]:
-                mat[flat, gi] = sign
-            self.sectors[counts] = Sector(counts, dims, local_bases, mat)
+        for counts in sorted(grouped):
+            local, index, sign = zip(*sorted(grouped[counts]))
+            dims = tuple(len(set(patterns)) for patterns in zip(*local))
+            self.sectors[counts] = Sector(counts, dims, np.array(index), np.array(sign))
 
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
             raise ValueError("state basis does not match the decomposition")
-        return self._project(state.amp[None])
+        return [_sector_state(sec, state.amp[None]) for sec in self.sectors.values()]
 
     def project_density(self, dm: DensityMatrix) -> list[SectorState]:
         if dm.mat.shape != (len(self.basis), len(self.basis)):
             raise ValueError("density matrix does not match the basis dimension")
-        return self._project(dm.mat[None])
+        return [_sector_state(sec, dm.mat[None]) for sec in self.sectors.values()]
 
-    def _project(self, stack: np.ndarray) -> list[SectorState]:
-        out = []
-        for counts, sector in self.sectors.items():
-            probs, parts = _sector_parts(sector, stack)
-            rho = None
-            if probs[0] > PROBABILITY_FLOOR:
-                rho = DensityMatrix(sector.dims, _normalized_blocks(parts, probs)[0])
-            out.append(SectorState(counts, sector.dims, float(probs[0]), rho))
-        return out
+
+def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
+    """Probability and normalized block of a batch-of-one stack in one sector."""
+    probs, parts = _sector_parts(sector, stack)
+    rho = None
+    if probs[0] > PROBABILITY_FLOOR:
+        rho = DensityMatrix(sector.dims, _normalized_blocks(parts, probs)[0])
+    return SectorState(sector.counts, sector.dims, float(probs[0]), rho)
 
 
 def _sector_parts(sector: Sector, states: np.ndarray):
-    """Sector probabilities (B,) and parts of a stack of states: the (B, d)
-    local amplitudes of (B, n) amplitude vectors, or the unnormalised
-    (B, d, d) blocks of (B, n, n) density matrices."""
+    """Sector probabilities (B,) and parts of a stack of states, gathered
+    through the sector's index and sign: the (B, d) local amplitudes of
+    (B, n) amplitude vectors, or the unnormalised (B, d, d) blocks of
+    (B, n, n) density matrices."""
     if states.ndim == 3:
-        blocks = sector.matrix @ states @ sector.matrix.T
+        blocks = states[:, sector.index[:, None], sector.index]
+        blocks = blocks * np.outer(sector.sign, sector.sign)
         return np.trace(blocks, axis1=1, axis2=2).real, blocks
-    vecs = states @ sector.matrix.T
+    vecs = states[:, sector.index] * sector.sign
     return np.sum(np.abs(vecs) ** 2, axis=1), vecs
 
 
@@ -250,10 +229,10 @@ def project_sector(
         raise ValueError(
             f"sector counts {counts} do not sum to N={dec.basis.n_particles}"
         )
-    for sec in dec._project(stack):
-        if sec.counts == counts:
-            return sec
-    return SectorState(counts, (0, 0, 0), 0.0, None)
+    sector = dec.sectors.get(counts)
+    if sector is None:
+        return SectorState(counts, (0, 0, 0), 0.0, None)
+    return _sector_state(sector, stack)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Propagator
 from .fock import ManyBodyState, Statistics, apply_annihilation, apply_creation
-
-
-def _propagator_matrix(prop) -> np.ndarray:
-    return prop.mat if isinstance(prop, Propagator) else np.asarray(prop, dtype=complex)
 
 
 def single_particle_density(prop, occupations) -> np.ndarray:
     """Site-resolved particle density; identical for bosons and fermions."""
-    mat = _propagator_matrix(prop)
+    mat = np.asarray(prop, dtype=complex)
     n = np.asarray(occupations, dtype=float)
     if n.shape != (mat.shape[0],):
         raise ValueError("occupation vector does not match the lattice size")
@@ -37,7 +32,7 @@ def single_particle_density(prop, occupations) -> np.ndarray:
 
 def two_particle_correlation(prop, occupations, stats: Statistics) -> np.ndarray:
     """Joint detection matrix Gamma[r, s] = <c_r^+ c_s^+ c_s c_r>."""
-    mat = _propagator_matrix(prop)
+    mat = np.asarray(prop, dtype=complex)
     n = np.asarray(occupations, dtype=float)
     L = mat.shape[0]
     if n.shape != (L,):

@@ -127,6 +127,8 @@ def walk_scan(
     """
     if not 2 <= steps <= MAX_TIME_SAMPLES:
         raise ValueError(f"need between 2 and {MAX_TIME_SAMPLES} time samples")
+    if not math.isfinite(tau_max):
+        raise ValueError("tau_max must be finite")
     init = tuple(init)
     params = LatticeParams(len(init), onsite=onsite)
     basis = enumerate_basis(sum(init), len(init), stats)

@@ -7,6 +7,7 @@ tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -75,3 +76,44 @@ def tripartite_negativity_by_jacobi(rho: np.ndarray, dims) -> float:
             return 0.0
         product *= n
     return float(np.cbrt(product))
+
+
+def sector_maps(basis, partition) -> dict:
+    """Local-count sectors by direct enumeration of local product bases.
+
+    Maps (n_A, n_B, n_C) to (dims, entries): each party's occupation
+    patterns are the ranked ``itertools.product`` tuples with that count
+    (capped at 1 for fermions), and entry f of the product basis is the
+    (global basis index, reordering sign) of its ket, the sign from a
+    bubble sort of the party-blocked creation sequence.
+    """
+    exclusive = basis.stats.exclusive
+    out = {}
+    for counts in itertools.product(range(basis.n_particles + 1), repeat=3):
+        if sum(counts) != basis.n_particles:
+            continue
+        patterns = []
+        for party, n in zip(partition.parties, counts):
+            ranked = itertools.product(range((1 if exclusive else n) + 1), repeat=len(party))
+            patterns.append([p for p in ranked if sum(p) == n])
+        if not all(patterns):
+            continue
+        entries = []
+        for combo in itertools.product(*patterns):
+            occ = [0] * basis.n_modes
+            for party, pattern in zip(partition.parties, combo):
+                for mode, n in zip(party, pattern):
+                    occ[mode - 1] = n
+            blocked = [m for party in partition.parties for m in party if occ[m - 1]]
+            sign = bubble_sort_parity(blocked) if exclusive else 1.0
+            entries.append((basis.index(occ), sign))
+        out[counts] = (tuple(len(p) for p in patterns), entries)
+    return out
+
+
+def sector_matrix(entries, n_states: int) -> np.ndarray:
+    """Dense (len(entries), n_states) map with one +-1 per row."""
+    mat = np.zeros((len(entries), n_states))
+    for f, (gi, sign) in enumerate(entries):
+        mat[f, gi] = sign
+    return mat

@@ -25,7 +25,7 @@ def run_cli(capsys, *argv):
 
 
 def assert_config_error(capsys, *argv):
-    """Exit 2, nothing on stdout and a one-line ``error:`` message."""
+    """Exit 2, nothing on stdout and a one-line ``error:`` message, returned."""
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
@@ -33,6 +33,7 @@ def assert_config_error(capsys, *argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 class TestChiCommand:
@@ -143,6 +144,10 @@ class TestWalkCommand:
     def test_non_finite_onsite_exits_two(self, capsys):
         assert_config_error(capsys, "walk", "--onsite", "nan")
 
+    @pytest.mark.parametrize("tau_max", ["inf", "1e308"])
+    def test_non_finite_or_overflowing_tau_exits_two(self, capsys, tau_max):
+        assert "tau" in assert_config_error(capsys, "walk", "--tau-max", tau_max)
+
 
 class TestSnapshotCommand:
     def test_json_record_schema(self, capsys):
@@ -173,6 +178,11 @@ class TestSnapshotCommand:
 
     def test_infinite_onsite_exits_two(self, capsys):
         assert_config_error(capsys, "snapshot", "--onsite", "inf")
+
+    def test_overflowing_tau_exits_two(self, capsys):
+        assert "tau" in assert_config_error(
+            capsys, "snapshot", "--tau", "1e308", "--format", "csv"
+        )
 
     def test_json_rejects_non_finite_values(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ def propagator_by_eigendecomposition(params: LatticeParams, tau: float) -> np.nd
 class TestPropagator:
     def test_identity_at_zero_time(self):
         prop = single_particle_propagator(LatticeParams(6), 0.0)
-        assert np.abs(prop.mat - np.eye(6)).max() <= 1e-12
+        assert np.abs(prop - np.eye(6)).max() <= 1e-12
 
     @pytest.mark.parametrize("n_modes", [2, 5, 6, 8])
     @pytest.mark.parametrize("tau", [0.3, 1.0, 8.7])
@@ -42,24 +42,28 @@ class TestPropagator:
         params = LatticeParams(n_modes)
         prop = single_particle_propagator(params, tau)
         ref = propagator_by_eigendecomposition(params, tau)
-        assert np.abs(prop.mat - ref).max() <= 1e-12
+        assert np.abs(prop - ref).max() <= 1e-12
 
     def test_onsite_energy_only_adds_global_phase(self):
-        plain = single_particle_propagator(LatticeParams(6), 1.7).mat
-        shifted = single_particle_propagator(LatticeParams(6, onsite=2.5), 1.7).mat
+        plain = single_particle_propagator(LatticeParams(6), 1.7)
+        shifted = single_particle_propagator(LatticeParams(6, onsite=2.5), 1.7)
         phase = np.exp(-1j * 2.5 * 1.7)
         assert np.abs(shifted - phase * plain).max() <= 1e-12
 
     def test_unitary_and_symmetric(self):
         rng = np.random.default_rng(7)
         for tau in rng.uniform(0.0, 20.0, size=8):
-            mat = single_particle_propagator(LatticeParams(6), tau).mat
+            mat = single_particle_propagator(LatticeParams(6), tau)
             assert np.abs(mat @ mat.conj().T - np.eye(6)).max() <= 1e-12
             assert np.abs(mat - mat.T).max() <= 1e-12
 
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             single_particle_propagator(LatticeParams(6), float("nan"))
+        # finite times whose phases overflow: 2 tau, and G tau / T
+        for params, tau in ((LatticeParams(6), 1e308), (LatticeParams(6, onsite=1e308), 10.0)):
+            with pytest.raises(ValueError, match="tau"):
+                single_particle_propagator(params, tau)
 
 
 class TestManyBodyHamiltonian:
@@ -147,7 +151,7 @@ class TestEvolution:
                 [state.amp[basis.index(tuple(1 if m == r else 0 for m in range(1, 7)))]
                  for r in range(1, 7)]
             )
-            assert np.abs(column - prop.mat[:, site - 1]).max() <= 1e-12
+            assert np.abs(column - prop[:, site - 1]).max() <= 1e-12
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_energy_conservation(self, stats):

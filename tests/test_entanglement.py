@@ -11,6 +11,8 @@ from oracles import (
     bubble_sort_parity,
     jacobi_eigenvalues,
     negativity_by_jacobi,
+    sector_maps,
+    sector_matrix,
     tripartite_negativity_by_jacobi,
 )
 from triqw import (
@@ -88,6 +90,15 @@ class TestPartition:
             Partition.parse("1,2|3,4|5,7").validate_cover(6)
 
 
+@st.composite
+def shuffled_partitions(draw):
+    """A random permutation of the modes split into parties of 1-4 modes."""
+    sizes = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    modes = draw(st.permutations(range(1, sum(sizes) + 1)))
+    a, b = sizes[0], sizes[0] + sizes[1]
+    return Partition(modes[:a], modes[a:b], modes[b:])
+
+
 class TestSectorProjection:
     def test_phi_ghz_point_lands_in_single_occupancy_sector(self):
         sec = project_sector(phi_state(0.0, math.pi / 4), ADJACENT_PARTITION, (1, 1, 1))
@@ -122,18 +133,17 @@ class TestSectorProjection:
             blocked = [m for party in partition.parties for m in party if occ[m - 1]]
             counts = tuple(sum(occ[m - 1] for m in party) for party in partition.parties)
             sector = dec.sectors[counts]
-            column = sector.matrix[:, gi]
-            assert np.count_nonzero(column) == 1
-            assert column.sum() == bubble_sort_parity(blocked)
+            assert np.count_nonzero(sector.index == gi) == 1
+            assert sector.sign[sector.index == gi].sum() == bubble_sort_parity(blocked)
 
     def test_hand_computed_signs_for_alternating_partition(self):
         basis = enumerate_basis(3, 6, FER)
         dec = SectorDecomposition(basis, ALTERNATING_PARTITION)
         sector = dec.sectors[(1, 1, 1)]
         # occupied (1,2,3): blocked sequence (1,2,3), even
-        assert sector.matrix[:, basis.index((1, 1, 1, 0, 0, 0))].sum() == 1.0
+        assert sector.sign[sector.index == basis.index((1, 1, 1, 0, 0, 0))].sum() == 1.0
         # occupied (2,3,4): blocked sequence (4,2,3), two inversions
-        assert sector.matrix[:, basis.index((0, 1, 1, 1, 0, 0))].sum() == 1.0
+        assert sector.sign[sector.index == basis.index((0, 1, 1, 1, 0, 0))].sum() == 1.0
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
@@ -144,6 +154,27 @@ class TestSectorProjection:
         dec = SectorDecomposition(basis, partition)
         total = sum(sec.prob for sec in dec.project_state(state))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        partition=shuffled_partitions(),
+        n_particles=st.integers(1, 3),
+        stats=st.sampled_from([BOS, FER]),
+    )
+    def test_sectors_match_enumerated_product_bases(self, partition, n_particles, stats):
+        basis = enumerate_basis(n_particles, partition.n_modes, stats)
+        dec = SectorDecomposition(basis, partition)
+        gathered = np.concatenate([sector.index for sector in dec.sectors.values()])
+        assert sorted(gathered.tolist()) == list(range(len(basis)))
+        expected = sector_maps(basis, partition)
+        assert list(dec.sectors) == list(expected)
+        for counts, sector in dec.sectors.items():
+            dims, entries = expected[counts]
+            assert sector.counts == counts
+            assert sector.dims == dims
+            assert len(sector.index) == math.prod(sector.dims)
+            assert sector.index.tolist() == [gi for gi, _ in entries]
+            assert sector.sign.tolist() == [sign for _, sign in entries]
 
     def test_density_matrix_input_matches_pure_path(self):
         basis = enumerate_basis(3, 6, FER)
@@ -402,20 +433,23 @@ class TestEpsTKernel:
         states = random_stack(basis, *case)
         probs, negs, eps_t = _eps_t_kernel(dec, states)
         dens = states if states.ndim == 3 else np.einsum("bi,bj->bij", states, states.conj())
+        maps = sector_maps(basis, partition)
+        assert list(maps) == list(dec.sectors)
         for b, rho in enumerate(dens):
-            for k, sector in enumerate(dec.sectors.values()):
-                block = sector.matrix @ rho @ sector.matrix.T
+            for k, (dims, entries) in enumerate(maps.values()):
+                mat = sector_matrix(entries, len(basis))
+                block = mat @ rho @ mat.T
                 prob = block.trace().real
                 if prob <= PROBABILITY_FLOOR:
                     assert probs[b, k] == 0.0
                     assert not negs[b, k].any()
                     continue
                 assert probs[b, k] == pytest.approx(prob, abs=1e-12)
-                if min(sector.dims) == 1:
+                if min(dims) == 1:
                     assert not negs[b, k].any()
                     continue
                 for party in range(3):
-                    expected = negativity_by_jacobi(block / prob, sector.dims, party)
+                    expected = negativity_by_jacobi(block / prob, dims, party)
                     assert abs(negs[b, k, party] - expected) <= 1e-9
             tpn = np.cbrt(np.prod(negs[b, :, :3], axis=-1))
             assert np.abs(negs[b, :, 3] - tpn).max() <= 1e-12
