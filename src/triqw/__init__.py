@@ -22,7 +22,6 @@ from .entanglement import (
     bipartite_negativity,
     entanglement_of_particles,
     geometric_measure,
-    hermitian_eigenvalues,
     mode_qubit_tensor,
     partial_transpose,
     project_sector,
@@ -89,7 +88,6 @@ __all__ = [
     "evolve_state_oracle",
     "expectation_oracle",
     "geometric_measure",
-    "hermitian_eigenvalues",
     "interparticle_distance",
     "many_body_hamiltonian",
     "mode_qubit_tensor",

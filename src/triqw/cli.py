@@ -8,13 +8,16 @@ Subcommands::
     triqw snapshot   density / pair correlations at a single time
 
 Floating values in CSV output carry 12 significant digits; identical
-configurations produce byte-identical output.  Exit code 2 flags a
-configuration error.
+configurations produce byte-identical output.  Grid and time-series
+outputs are written as they are formatted (CSV a row at a time, JSON
+lists a block of items at a time), so no whole-output string or payload
+is held in memory.  Exit code 2 flags a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -28,22 +31,43 @@ def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(chunks, out: str | None) -> None:
+    """Write an iterable of text chunks to ``out`` or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows):
+    """Chunks of the CSV text: the header line, then one line per row."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(row) + "\n"
+
+
+# Items per encoder call of a streamed JSON list: one call per item costs
+# about half again the time of encoding the whole list at once.
+_JSON_BLOCK = 1024
 
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _json_list(items):
+    """Chunks of ``_json(list(items))``, encoded a block of items at a time.
+
+    A block encodes as ``[\\n  item,\\n  item\\n]``; dropping its brackets
+    and joining the blocks with commas gives the text of the whole list.
+    """
+    items = iter(items)
+    head = "["
+    while block := list(itertools.islice(items, _JSON_BLOCK)):
+        yield head + _json(block)[1:-3]
+        head = ","
+    yield "[]\n" if head == "[" else "\n]\n"
 
 
 def cmd_chi(args) -> None:
@@ -54,13 +78,13 @@ def cmd_chi(args) -> None:
             args.out,
         )
     else:
-        _write(_json(report), args.out)
+        _write([_json(report)], args.out)
 
 
 def cmd_phi_scan(args) -> None:
     scan = phi_scan(args.alpha_steps, args.beta_steps, Partition.parse(args.partition))
     if args.format == "json":
-        payload = [
+        items = (
             {
                 "alpha": alpha,
                 "beta": beta,
@@ -69,8 +93,8 @@ def cmd_phi_scan(args) -> None:
             }
             for i, alpha in enumerate(scan.alphas)
             for j, beta in enumerate(scan.betas)
-        ]
-        _write(_json(payload), args.out)
+        )
+        _write(_json_list(items), args.out)
         return
     rows = (
         [_fmt(alpha), _fmt(beta), _fmt(scan.eps_t[i, j]), _fmt(scan.eps_g[i, j])]
@@ -99,11 +123,11 @@ def cmd_walk(args) -> None:
         scan.eps_t,
     )
     if args.format == "json":
-        payload = [
+        items = (
             {name: col[i] for name, col in zip(header, columns)}
             for i in range(len(scan.taus))
-        ]
-        _write(_json(payload), args.out)
+        )
+        _write(_json_list(items), args.out)
         return
     rows = (
         [_fmt(col[i]) for col in columns] for i in range(len(scan.taus))
@@ -124,7 +148,7 @@ def cmd_snapshot(args) -> None:
             rows.append(["g", str(delta), "", _fmt(value)])
         _write(_csv(["quantity", "r", "s", "value"], rows), args.out)
     else:
-        _write(_json(record), args.out)
+        _write([_json(record)], args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

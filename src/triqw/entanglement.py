@@ -9,7 +9,9 @@ Two quantities are computed for a three-party split of the modes:
   one-dimensional local space are biseparable and contribute exactly
   zero.  One batched kernel (``_eps_t_kernel``) serves the per-state
   function and the scans; every partial-transpose negativity goes
-  through ``_negativity``.
+  through ``_negativity``.  The sector decomposition depends only on the
+  basis and the partition, so every caller shares one cached instance
+  per pair (``_decomposition``).
 * ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
   built from triple products of su(d) generators on the occupation-qubit
   isomorphism, minus its value on fully factorized kets.  Production
@@ -26,6 +28,7 @@ string from party-blocked order to globally ascending order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,7 +112,8 @@ class Sector:
     each party's occupation patterns in ascending lexicographic order)
     is the global basis state ``index[f]`` times ``sign[f]``, the +-1
     fermionic reordering sign (all +1 for bosons).  ``dims`` counts each
-    party's patterns, so ``len(index) == prod(dims)``.
+    party's patterns, so ``len(index) == prod(dims)``.  Both arrays are
+    read-only, because decompositions are shared between callers.
     """
 
     counts: tuple[int, int, int]
@@ -156,7 +160,7 @@ class SectorDecomposition:
         for counts in sorted(grouped):
             local, index, sign = zip(*sorted(grouped[counts]))
             dims = tuple(len(set(patterns)) for patterns in zip(*local))
-            self.sectors[counts] = Sector(counts, dims, np.array(index), np.array(sign))
+            self.sectors[counts] = Sector(counts, dims, _read_only(index), _read_only(sign))
 
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
@@ -167,6 +171,22 @@ class SectorDecomposition:
         if dm.mat.shape != (len(self.basis), len(self.basis)):
             raise ValueError("density matrix does not match the basis dimension")
         return [_sector_state(sec, dm.mat[None]) for sec in self.sectors.values()]
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=64)
+def _decomposition(basis: FockBasis, partition: Partition) -> SectorDecomposition:
+    """The shared decomposition of ``basis`` for ``partition``.
+
+    It depends on the basis and the partition, not on any state, so
+    production code builds it once per pair and reuses it on every call.
+    """
+    return SectorDecomposition(basis, partition)
 
 
 def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
@@ -203,14 +223,14 @@ def _decomposed(state, partition: Partition, basis: FockBasis | None):
     """Decomposition and batch-of-one stack of a ManyBodyState, or of a
     DensityMatrix on the full Fock basis ``basis``."""
     if isinstance(state, ManyBodyState):
-        return SectorDecomposition(state.basis, partition), state.amp[None]
+        return _decomposition(state.basis, partition), state.amp[None]
     if not isinstance(state, DensityMatrix):
         raise TypeError("expected a ManyBodyState or a DensityMatrix")
     if basis is None:
         raise TypeError("a DensityMatrix input needs the Fock basis")
     if state.mat.shape != (len(basis), len(basis)):
         raise ValueError("density matrix does not match the basis dimension")
-    return SectorDecomposition(basis, partition), state.mat[None]
+    return _decomposition(basis, partition), state.mat[None]
 
 
 def project_sector(
@@ -237,20 +257,6 @@ def project_sector(
 
 # ---------------------------------------------------------------------------
 # negativities
-
-
-def hermitian_eigenvalues(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    The input is checked against Hermiticity within ``tol`` and
-    symmetrized before the backward-stable dense solve.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.abs(mat - mat.conj().T).max() > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol}")
-    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
 def _partial_transpose(mats: np.ndarray, dims, party: int) -> np.ndarray:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -135,6 +136,21 @@ def apply_creation(occ, mode: int, stats: Statistics):
     return math.sqrt(occ[i] + 1.0), occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
 
 
+@functools.lru_cache(maxsize=4096)
+def _creations(occ: tuple[int, ...], stats: Statistics):
+    """Every non-vanishing ``c_s^+ |occ>`` as ``(s - 1, factor, new_occ)``.
+
+    Ascending in ``s``.  The table depends only on the ket and the
+    statistics, so it is built once per pair and shared by every expansion.
+    """
+    table = []
+    for s in range(1, len(occ) + 1):
+        res = apply_creation(occ, s, stats)
+        if res is not None:
+            table.append((s - 1, *res))
+    return tuple(table)
+
+
 def apply_annihilation(occ, mode: int, stats: Statistics):
     """Apply c_mode to a basis ket; adjoint of :func:`apply_creation`.
 
@@ -245,14 +261,10 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
             new: dict[tuple[int, ...], complex] = {}
             row = coeffs[p - 1]
             for occ, amp in terms.items():
-                for s in range(1, L + 1):
-                    c = row[s - 1]
+                for i, factor, occ2 in _creations(occ, basis.stats):
+                    c = row[i]
                     if c == 0:
                         continue
-                    res = apply_creation(occ, s, basis.stats)
-                    if res is None:
-                        continue
-                    factor, occ2 = res
                     new[occ2] = new.get(occ2, 0.0j) + amp * c * factor
             terms = new
 

@@ -3,8 +3,9 @@
 Each scan returns plain arrays; serialization stays in the CLI.  The
 scans call the same batched kernels as the per-state measures: the
 phase-grid scan passes one grid row at a time to the ``eps_T`` and
-``eps_G`` kernels, and the walk builds one sector decomposition and
-passes all its time samples to the ``eps_T`` kernel in one call.
+``eps_G`` kernels, and the walk passes all its time samples to the
+``eps_T`` kernel in one call.  Both take the shared sector
+decomposition of their basis and partition.
 Sample counts are capped (MAX_GRID_STEPS per phase axis,
 MAX_TIME_SAMPLES per walk) because memory grows with them; larger
 requests are rejected before anything is allocated.
@@ -20,11 +21,11 @@ import numpy as np
 from .dynamics import LatticeParams, evolve_state, single_particle_propagator
 from .entanglement import (
     Partition,
-    SectorDecomposition,
     entanglement_of_particles,
     geometric_measure,
     mode_qubit_tensor,
     _check_geometric_partition,
+    _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
 )
@@ -81,7 +82,7 @@ def phi_scan(
     kets = np.zeros((4, len(basis)), dtype=complex)
     for i, ket in enumerate(PHI_KETS):
         kets[i, basis.index(ket)] = 1.0
-    dec = SectorDecomposition(basis, partition)
+    dec = _decomposition(basis, partition)
     ket_tensors = np.stack(
         [
             mode_qubit_tensor(ManyBodyState(basis, kets[i]), partition)
@@ -132,7 +133,7 @@ def walk_scan(
     init = tuple(init)
     params = LatticeParams(len(init), onsite=onsite)
     basis = enumerate_basis(sum(init), len(init), stats)
-    dec = SectorDecomposition(basis, partition)
+    dec = _decomposition(basis, partition)
     taus = np.linspace(0.0, tau_max, steps)
     amps = np.stack(
         [evolve_state(init, params, tau, stats, basis=basis).amp for tau in taus]

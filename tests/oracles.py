@@ -1,8 +1,11 @@
 """Independent verification oracles shared across the test suite.
 
-These deliberately avoid the production code paths (and LAPACK's
-Hermitian solvers) so that agreement with them is evidence, not
-tautology.
+These deliberately avoid the production code paths (and, apart from
+``hermitian_eigenvalues``, LAPACK's Hermitian solvers) so that agreement
+with them is evidence, not tautology.  ``monomial_expansion`` is the
+exception by design: it repeats the expansion loop of
+``build_monomial_state`` with one ``apply_creation`` call per term and
+mode, to pin the table-driven loop bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import itertools
 import math
 
 import numpy as np
+
+from triqw.fock import apply_creation
 
 
 def bubble_sort_parity(seq) -> float:
@@ -23,6 +28,20 @@ def bubble_sort_parity(seq) -> float:
                 arr[j], arr[j + 1] = arr[j + 1], arr[j]
                 sign = -sign
     return sign
+
+
+def hermitian_eigenvalues(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending.
+
+    The input is checked against Hermiticity within ``tol`` and
+    symmetrized before the backward-stable dense solve.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("expected a square matrix")
+    if np.abs(mat - mat.conj().T).max() > tol:
+        raise ValueError(f"matrix is not Hermitian within {tol}")
+    return np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
 
 
 def jacobi_eigenvalues(mat, max_sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
@@ -117,3 +136,32 @@ def sector_matrix(entries, n_states: int) -> np.ndarray:
     for f, (gi, sign) in enumerate(entries):
         mat[f, gi] = sign
     return mat
+
+
+def monomial_expansion(basis, coeffs, init) -> np.ndarray:
+    """Amplitudes of ``build_monomial_state(basis, coeffs, init)`` by one
+    ``apply_creation`` call per term and mode, in the same order of
+    floating-point operations, so the two agree bit for bit."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    L = basis.n_modes
+    terms = {(0,) * L: 1.0 + 0.0j}
+    for p in range(L, 0, -1):
+        for _ in range(init[p - 1]):
+            new = {}
+            row = coeffs[p - 1]
+            for occ, amp in terms.items():
+                for s in range(1, L + 1):
+                    c = row[s - 1]
+                    if c == 0:
+                        continue
+                    res = apply_creation(occ, s, basis.stats)
+                    if res is None:
+                        continue
+                    factor, occ2 = res
+                    new[occ2] = new.get(occ2, 0.0j) + amp * c * factor
+            terms = new
+    norm = math.sqrt(math.prod(math.factorial(n) for n in init))
+    amp = np.zeros(len(basis), dtype=complex)
+    for occ, value in terms.items():
+        amp[basis.index(occ)] = value / norm
+    return amp

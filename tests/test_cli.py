@@ -14,7 +14,7 @@ from triqw import (
     snapshot,
     walk_scan,
 )
-from triqw.cli import _json, main
+from triqw.cli import _JSON_BLOCK, _fmt, _json, _json_list, main
 from triqw.scans import MAX_GRID_STEPS, MAX_TIME_SAMPLES
 
 
@@ -203,6 +203,65 @@ class TestSnapshotCommand:
         r, s = np.unravel_index(np.argmax(gamma), gamma.shape)
         assert r + 1 <= 3 and s + 1 <= 3
         assert abs(int(r) - int(s)) == 1
+
+
+def whole_csv(header, rows) -> str:
+    """CSV text built in one piece, the reference for the streamed output."""
+    return "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+class TestStreamedOutput:
+    """Row-by-row output equals the text of the whole payload, byte for byte."""
+
+    def cli_text(self, capsys, tmp_path, to_file, argv):
+        if to_file:
+            path = tmp_path / "out.txt"
+            assert main(argv + ["--out", str(path)]) == 0
+            assert capsys.readouterr().out == ""
+            return path.read_bytes().decode("utf-8")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_phi_scan(self, capsys, tmp_path, fmt, to_file):
+        scan = phi_scan(4, 3)
+        grid = [
+            (alpha, beta, scan.eps_t[i, j], scan.eps_g[i, j])
+            for i, alpha in enumerate(scan.alphas)
+            for j, beta in enumerate(scan.betas)
+        ]
+        header = ["alpha", "beta", "eps_T", "eps_G"]
+        if fmt == "json":
+            expected = _json([dict(zip(header, point)) for point in grid])
+        else:
+            expected = whole_csv(header, grid)
+        argv = ["phi-scan", "--alpha-steps", "4", "--beta-steps", "3", "--format", fmt]
+        assert self.cli_text(capsys, tmp_path, to_file, argv) == expected
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_walk(self, capsys, tmp_path, fmt, to_file):
+        scan = walk_scan(Statistics.BOSONS, ADJACENT_PARTITION, tau_max=3.0, steps=5)
+        header = ["tau", "P111", "N_A-BC", "N_B-AC", "N_C-AB", "TPN", "eps_T"]
+        columns = (scan.taus, scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn, scan.eps_t)
+        rows = list(zip(*columns))
+        if fmt == "json":
+            expected = _json([dict(zip(header, row)) for row in rows])
+        else:
+            expected = whole_csv(header, rows)
+        argv = ["walk", "--stats", "bosons", "--tau-max", "3", "--steps", "5", "--format", fmt]
+        assert self.cli_text(capsys, tmp_path, to_file, argv) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _JSON_BLOCK, _JSON_BLOCK + 1, 2 * _JSON_BLOCK + 5])
+    def test_json_list_matches_json_dumps(self, n):
+        items = [{"b": k / 7, "a": [k, {"z": None}], "c": {}} for k in range(n)]
+        assert "".join(_json_list(iter(items))) == _json(items)
+
+    def test_json_list_rejects_non_finite_values(self):
+        with pytest.raises(ValueError):
+            "".join(_json_list([{"value": float("nan")}]))
 
 
 class TestScanInternals:

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import (
     bubble_sort_parity,
+    hermitian_eigenvalues,
     jacobi_eigenvalues,
     negativity_by_jacobi,
     sector_maps,
@@ -21,6 +22,7 @@ from triqw import (
     CHI_PARTITION,
     WALK_INIT,
     DensityMatrix,
+    FockBasis,
     LatticeParams,
     ManyBodyState,
     Partition,
@@ -32,9 +34,9 @@ from triqw import (
     enumerate_basis,
     evolve_state,
     geometric_measure,
-    hermitian_eigenvalues,
     mode_qubit_tensor,
     partial_transpose,
+    phi_scan,
     phi_state,
     project_sector,
     su_generators,
@@ -43,6 +45,7 @@ from triqw import (
 )
 from triqw.entanglement import (
     PROBABILITY_FLOOR,
+    _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
     _tensor_norm_constants,
@@ -475,6 +478,51 @@ class TestEpsTKernel:
             row = (scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn)
             assert np.abs(np.array([col[k] for col in row]) - expected).max() <= 1e-12
             assert scan.eps_t[k] == pytest.approx(report.eps_t, abs=1e-12)
+
+
+class TestDecompositionCache:
+    """One decomposition per (basis, partition), shared by every caller."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        stats=st.sampled_from([BOS, FER]),
+        modes=st.permutations(range(1, 7)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cold_and_warm_cache_give_equal_reports(self, stats, modes, seed):
+        partition = Partition(modes[:2], modes[2:4], modes[4:])
+        basis = enumerate_basis(3, 6, stats)
+        rho = DensityMatrix((len(basis),), random_stack(basis, seed, 1, 2)[0])
+        _decomposition.cache_clear()
+        cold = entanglement_of_particles(rho, partition, basis=basis)
+        warm = entanglement_of_particles(rho, partition, basis=FockBasis(3, 6, stats))
+        info = _decomposition.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert warm == cold
+
+    def test_equal_keys_share_one_decomposition(self):
+        first = _decomposition(enumerate_basis(3, 6, FER), Partition.parse("1,4|2,5|3,6"))
+        second = _decomposition(FockBasis(3, 6, FER), Partition((1, 4), (2, 5), (3, 6)))
+        assert first is second
+        assert _decomposition(enumerate_basis(3, 6, BOS), ALTERNATING_PARTITION) is not first
+
+    def test_production_callers_share_the_cached_decomposition(self):
+        _decomposition.cache_clear()
+        walk_scan(FER, ADJACENT_PARTITION, tau_max=1.0, steps=2)
+        phi_scan(2, 2)
+        state = phi_state(0.3, 0.7)
+        entanglement_of_particles(state, ADJACENT_PARTITION)
+        project_sector(state, ADJACENT_PARTITION, (1, 1, 1))
+        info = _decomposition.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_shared_sectors_are_read_only(self):
+        dec = _decomposition(enumerate_basis(3, 6, BOS), ADJACENT_PARTITION)
+        for sector in dec.sectors.values():
+            with pytest.raises(ValueError, match="read-only"):
+                sector.index[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                sector.sign[0] = -1.0
 
 
 def marginal_purity_tensor_norm(psi: np.ndarray, dim: int) -> float:

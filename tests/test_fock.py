@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import monomial_expansion
 from triqw import (
     DensityMatrix,
     FockBasis,
@@ -198,6 +200,38 @@ class TestMonomialState:
             build_monomial_state(basis, np.eye(3), (1, 1, 1))
         with pytest.raises(ValueError):
             build_monomial_state(basis, np.eye(3), (2, 0, 0))
+
+
+@st.composite
+def monomial_cases(draw):
+    """(basis, L x L complex coefficients with exact zeros, legal init)."""
+    stats = draw(st.sampled_from([BOS, FER]))
+    n_modes = draw(st.integers(1, 6))
+    n_particles = draw(st.integers(0, min(3, n_modes) if stats.exclusive else 3))
+    sites = draw(
+        st.lists(
+            st.integers(0, n_modes - 1),
+            min_size=n_particles,
+            max_size=n_particles,
+            unique=stats.exclusive,
+        )
+    )
+    init = tuple(sites.count(m) for m in range(n_modes))
+    entry = st.one_of(
+        st.just(0j),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    )
+    coeffs = draw(arrays(complex, (n_modes, n_modes), elements=entry))
+    return enumerate_basis(n_particles, n_modes, stats), coeffs, init
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=monomial_cases())
+def test_monomial_state_is_bit_identical_to_per_call_expansion(case):
+    # bytes, not values: equal bits also pin the signs of zeros
+    basis, coeffs, init = case
+    state = build_monomial_state(basis, coeffs, init)
+    assert state.amp.tobytes() == monomial_expansion(basis, coeffs, init).tobytes()
 
 
 def test_many_body_state_validation():
