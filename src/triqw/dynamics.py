@@ -8,6 +8,7 @@ phase ``exp(-i*N*G*tau/T)`` to any N-particle state and defaults to 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .fock import (
     FockBasis,
     ManyBodyState,
     Statistics,
+    _read_only,
     apply_annihilation,
     apply_creation,
     build_monomial_state,
@@ -54,19 +56,30 @@ def single_particle_propagator(params: LatticeParams, tau: float) -> np.ndarray:
     i.e. the sine-basis eigendecomposition of exp(-i H tau / T).  The
     matrix is unitary and symmetric.  A tau whose phases are not finite
     (a non-finite tau, or 2 tau or G tau / T overflowing) is rejected.
+    The cosines and the sine matrix depend only on L, so they are built
+    once per L.
     """
     L = params.n_modes
-    k = np.arange(1, L + 1)
+    cosines, sines = _sine_basis(L)
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-2.0j * tau * np.cos(k * np.pi / (L + 1)))
+        phases = np.exp(-2.0j * tau * cosines)
         global_phase = np.exp(-1.0j * params.onsite * tau / params.tunneling)
     if not (np.isfinite(phases).all() and np.isfinite(global_phase)):
         raise ValueError(
             f"tau = {float(tau):g} gives non-finite propagator phases "
             f"(on-site energy {params.onsite:g}, tunneling rate {params.tunneling:g})"
         )
-    sines = np.sin(np.outer(k, k) * np.pi / (L + 1))  # sines[r-1, k-1]
     return (2.0 / (L + 1)) * global_phase * (sines * phases) @ sines.T
+
+
+@functools.lru_cache(maxsize=64)
+def _sine_basis(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cos(k pi / (L+1))`` and ``sines[r-1, k-1] = sin(r k pi / (L+1))``
+    for k, r = 1..L: read-only, built once per L."""
+    k = np.arange(1, n_modes + 1)
+    cosines = _read_only(np.cos(k * np.pi / (n_modes + 1)))
+    sines = _read_only(np.sin(np.outer(k, k) * np.pi / (n_modes + 1)))
+    return cosines, sines
 
 
 def many_body_hamiltonian(basis: FockBasis, params: LatticeParams) -> np.ndarray:
@@ -105,7 +118,11 @@ def evolve_state(
     combination, then the monomial is expanded on the Fock basis.  The
     substitution matrix is the propagator itself (row p holds the
     amplitudes of site p spreading over the lattice); this orientation
-    is pinned by agreement with :func:`evolve_state_oracle`.
+    is pinned by agreement with :func:`evolve_state_oracle`.  Only the
+    propagator's phases depend on tau: its sine basis and the expansion
+    plan are cached per structure, so repeated calls on one ``basis`` and
+    ``init`` redo only the arithmetic.  Passing ``basis`` also saves its
+    enumeration on every call.
     """
     init = tuple(init)
     if basis is None:

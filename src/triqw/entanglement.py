@@ -30,14 +30,19 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, FockBasis, ManyBodyState
+from .fock import DensityMatrix, FockBasis, ManyBodyState, _read_only
 
 PROBABILITY_FLOOR = 1e-14
 NEGATIVITY_TRACE_TOL = 1e-10
+# States per eigensolve call in _eps_t_kernel.  A call stacks the three
+# partial transposes of its states, so a long batch goes in chunks and the
+# stack stays small next to the batch's own blocks.
+_EIGENSOLVE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -173,12 +178,6 @@ class SectorDecomposition:
         return [_sector_state(sec, dm.mat[None]) for sec in self.sectors.values()]
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values)
-    arr.setflags(write=False)
-    return arr
-
-
 @functools.lru_cache(maxsize=64)
 def _decomposition(basis: FockBasis, partition: Partition) -> SectorDecomposition:
     """The shared decomposition of ``basis`` for ``partition``.
@@ -198,17 +197,27 @@ def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
     return SectorState(sector.counts, sector.dims, float(probs[0]), rho)
 
 
+def _sector_probs(sector: Sector, states: np.ndarray) -> np.ndarray:
+    """Sector probabilities (B,) of a stack of (B, n) amplitude vectors or
+    (B, n, n) density matrices: the sum of ``|amp|^2`` or of the diagonal
+    over the sector's basis states.  A sign of +-1 changes no modulus and
+    no diagonal entry, so it is left out."""
+    if states.ndim == 3:
+        return states[:, sector.index, sector.index].sum(axis=1).real
+    return np.sum(np.abs(states[:, sector.index]) ** 2, axis=1)
+
+
 def _sector_parts(sector: Sector, states: np.ndarray):
     """Sector probabilities (B,) and parts of a stack of states, gathered
     through the sector's index and sign: the (B, d) local amplitudes of
     (B, n) amplitude vectors, or the unnormalised (B, d, d) blocks of
     (B, n, n) density matrices."""
     if states.ndim == 3:
-        blocks = states[:, sector.index[:, None], sector.index]
-        blocks = blocks * np.outer(sector.sign, sector.sign)
-        return np.trace(blocks, axis1=1, axis2=2).real, blocks
-    vecs = states[:, sector.index] * sector.sign
-    return np.sum(np.abs(vecs) ** 2, axis=1), vecs
+        parts = states[:, sector.index[:, None], sector.index]
+        parts = parts * np.outer(sector.sign, sector.sign)
+    else:
+        parts = states[:, sector.index] * sector.sign
+    return _sector_probs(sector, states), parts
 
 
 def _normalized_blocks(parts: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -239,11 +248,12 @@ def project_sector(
     """Project onto one fixed local-particle-number sector.
 
     ``state`` is a ManyBodyState, or a DensityMatrix over the full Fock
-    basis with ``basis`` passed explicitly.  Counts that admit no legal
-    local pattern (e.g. two fermions on a single-mode party) are legal
-    input and yield probability zero.
+    basis with ``basis`` passed explicitly.  ``counts`` must be three
+    non-negative integers summing to N; anything else raises ValueError.
+    Counts that admit no legal local pattern (e.g. two fermions on a
+    single-mode party) are legal input and yield probability zero.
     """
-    counts = tuple(int(n) for n in counts)
+    counts = _sector_counts(counts)
     dec, stack = _decomposed(state, partition, basis)
     if sum(counts) != dec.basis.n_particles:
         raise ValueError(
@@ -255,43 +265,68 @@ def project_sector(
     return _sector_state(sector, stack)
 
 
+def _sector_counts(counts) -> tuple[int, int, int]:
+    try:
+        checked = tuple(operator.index(n) for n in counts)
+    except TypeError:
+        checked = ()
+    if len(checked) != 3 or min(checked) < 0:
+        raise ValueError(f"sector counts must be three non-negative integers, got {counts!r}")
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # negativities
 
 
-def _partial_transpose(mats: np.ndarray, dims, party: int) -> np.ndarray:
-    """Transpose one party's indices of (a stack of) matrices on ``dims``."""
+def _partial_transposes(mats: np.ndarray, dims, parties) -> np.ndarray:
+    """Stack of the partial transposes of (a stack of) matrices on
+    ``dims``, one per party in ``parties`` along a new leading axis.  Each
+    is copied straight into the stack."""
     dims = tuple(dims)
     lead = mats.ndim - 2
     tensor = mats.reshape(mats.shape[:lead] + dims + dims)
-    tensor = np.swapaxes(tensor, lead + party, lead + party + len(dims))
-    return tensor.reshape(mats.shape)
+    out = np.empty((len(parties),) + tensor.shape, dtype=mats.dtype)
+    for pt, party in zip(out, parties):
+        pt[...] = np.swapaxes(tensor, lead + party, lead + party + len(dims))
+    return out.reshape((len(parties),) + mats.shape)
+
+
+def _check_party(rho: DensityMatrix, party: int) -> None:
+    if not 0 <= party < len(rho.dims):
+        raise ValueError(f"party {party} out of range for dims {rho.dims}")
 
 
 def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
     """Transpose the indices of one party; an involution."""
-    if not 0 <= party < len(rho.dims):
-        raise ValueError(f"party {party} out of range for dims {rho.dims}")
-    return DensityMatrix(rho.dims, _partial_transpose(rho.mat, rho.dims, party))
+    _check_party(rho, party)
+    return DensityMatrix(rho.dims, _partial_transposes(rho.mat, rho.dims, (party,))[0])
 
 
-def _negativity(mats: np.ndarray, dims, party: int) -> np.ndarray:
-    """One-versus-rest negativity of a stack of trace-one density matrices.
+def _negativity(mats: np.ndarray, dims, parties) -> np.ndarray:
+    """One-versus-rest negativities of a stack of trace-one density
+    matrices, one per party in ``parties`` along a new leading axis.
 
     The sum of absolute eigenvalues of the partial transpose minus one,
     floored at 0.  The partial transpose of a Hermitian matrix is
-    Hermitian, so the batched Hermitian solve applies; it reads one
-    triangle of each matrix.
+    Hermitian, so one batched Hermitian solve takes every party's
+    transposes; LAPACK solves each matrix on its own, reading one
+    triangle.
     """
-    eig = np.linalg.eigvalsh(_partial_transpose(mats, dims, party))
+    eig = np.linalg.eigvalsh(_partial_transposes(mats, dims, parties))
     return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
 
 def bipartite_negativity(rho: DensityMatrix, party: int) -> float:
-    """Sum of absolute partial-transpose eigenvalues minus one, floored at 0."""
+    """Sum of absolute partial-transpose eigenvalues minus one, floored at 0.
+
+    ``party`` indexes ``rho.dims``; anything outside ``0..len(dims)-1``
+    raises ValueError.
+    """
+    _check_party(rho, party)
     if abs(rho.trace() - 1.0) > NEGATIVITY_TRACE_TOL:
         raise ValueError("negativity expects a trace-one density matrix")
-    return float(_negativity(rho.mat, rho.dims, party))
+    return float(_negativity(rho.mat, rho.dims, (party,))[0])
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
@@ -319,19 +354,35 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
       skipping them also keeps the cube root from amplifying eigensolver
       noise on the zero factor);
     * ``eps_t`` (B,), the probability-weighted sum of the TPN.
+
+    A sector with a one-dimensional party needs only its probability, so
+    its blocks are never gathered (``_sector_probs``).  In the other
+    sectors the three partial transposes of up to _EIGENSOLVE_CHUNK live
+    blocks go to one eigensolve.  On a batch of one, both give bit for
+    bit what ``project_sector`` and ``bipartite_negativity`` give on the
+    same sector; numpy may order the sums of a longer batch differently.
     """
     probs = np.zeros((len(states), len(dec.sectors)))
     negs = np.zeros(probs.shape + (4,))
     for k, sector in enumerate(dec.sectors.values()):
-        prob, parts = _sector_parts(sector, states)
-        live = prob > PROBABILITY_FLOOR
-        probs[live, k] = prob[live]
-        if min(sector.dims) == 1 or not live.any():
+        if min(sector.dims) == 1:
+            probs[:, k] = _sector_probs(sector, states)
             continue
-        rhos = _normalized_blocks(parts[live], prob[live])
-        cuts = np.stack([_negativity(rhos, sector.dims, p) for p in range(3)], axis=-1)
-        negs[live, k, :3] = cuts
-        negs[live, k, 3] = np.cbrt(np.prod(cuts, axis=-1))
+        prob, parts = _sector_parts(sector, states)
+        probs[:, k] = prob
+        live = prob > PROBABILITY_FLOOR
+        if live.any():
+            rhos = _normalized_blocks(parts[live], prob[live])
+            cuts = np.concatenate(
+                [
+                    _negativity(rhos[lo : lo + _EIGENSOLVE_CHUNK], sector.dims, (0, 1, 2))
+                    for lo in range(0, len(rhos), _EIGENSOLVE_CHUNK)
+                ],
+                axis=1,
+            )
+            negs[live, k, :3] = cuts.T
+            negs[live, k, 3] = np.cbrt(np.prod(cuts, axis=0))
+    probs[probs <= PROBABILITY_FLOOR] = 0.0
     return probs, negs, np.sum(probs * negs[..., 3], axis=1)
 
 
@@ -376,8 +427,8 @@ def entanglement_of_particles(
     dec, stack = _decomposed(state, partition, basis)
     probs, negs, eps_t = _eps_t_kernel(dec, stack)
     records = tuple(
-        SectorRecord(counts, float(prob), *(float(n) for n in sector_negs))
-        for counts, prob, sector_negs in zip(dec.sectors, probs[0], negs[0])
+        SectorRecord(counts, prob, *sector_negs)
+        for counts, prob, sector_negs in zip(dec.sectors, probs[0].tolist(), negs[0].tolist())
         if prob > 0.0
     )
     return EntanglementReport(partition, records, float(eps_t[0]))

@@ -235,6 +235,54 @@ class DensityMatrix:
         return cls((len(state.basis),), np.outer(state.amp, state.amp.conj()))
 
 
+@functools.lru_cache(maxsize=64)
+def _expansion_plan(basis: FockBasis, init: tuple[int, ...], zeros: bytes):
+    """Index arrays that expand ``init``'s monomial on ``basis``, for one
+    pattern of exactly zero coefficients.
+
+    ``zeros`` is ``(coeffs[rows] == 0).tobytes()`` for the occupied sites
+    ``rows`` of ``init`` in ascending order.  Runs the expansion loop on
+    symbols only: factors are applied in descending mode order, terms in
+    insertion order, creations in ascending mode order, and a zero
+    coefficient adds no term (which changes the insertion order, hence
+    the key).  Returns ``(steps, positions)``.  Each step is ``(src, col,
+    factor, dst, size)``: term ``j`` of the step adds ``terms[src[j]] *
+    coeffs.flat[col[j]] * factor[j]`` to new term ``dst[j]`` of ``size``,
+    where ``col`` indexes the flattened L x L matrix.  ``positions`` holds
+    the basis index of every final term.  All arrays are read-only,
+    because plans are shared between calls.
+    """
+    L = basis.n_modes
+    rows = [p for p in range(L) if init[p]]
+    skip = dict(zip(rows, np.frombuffer(zeros, dtype=bool).reshape(len(rows), L)))
+    terms = {(0,) * L: 0}
+    steps = []
+    for row in range(L - 1, -1, -1):
+        for _ in range(init[row]):
+            new: dict[tuple[int, ...], int] = {}
+            src, col, factors, dst = [], [], [], []
+            for occ, j in terms.items():
+                for i, factor, occ2 in _creations(occ, basis.stats):
+                    if skip[row][i]:
+                        continue
+                    src.append(j)
+                    col.append(row * L + i)
+                    factors.append(factor)
+                    dst.append(new.setdefault(occ2, len(new)))
+            arrays = (_read_only(src, np.intp), _read_only(col, np.intp))
+            arrays += (_read_only(factors, float), _read_only(dst, np.intp))
+            steps.append((*arrays, len(new)))
+            terms = new
+    return tuple(steps), _read_only([basis.index(occ) for occ in terms], np.intp)
+
+
+def _read_only(values, dtype=None) -> np.ndarray:
+    """A read-only array of ``values``, for tables shared between callers."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
     """Expand a product of dressed creation operators on the basis.
 
@@ -244,6 +292,20 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
     reproduce ``|init>`` with amplitude one.  The result is normalized
     whenever the rows of ``coeffs`` for occupied sites are orthonormal
     (in particular for any unitary ``coeffs``).
+
+    The index structure of the expansion depends only on the basis,
+    ``init`` and which coefficients are exactly zero, so it comes from the
+    cached ``_expansion_plan``; each call only gathers, multiplies and
+    accumulates.  The amplitudes are bit for bit those of the per-term
+    loop ``new[occ2] = new.get(occ2, 0j) + amp * c * factor``:
+
+    * ``amp * c`` is numpy's scalar complex product, written out on real
+      and imaginary parts, because the vectorised complex product can
+      differ from it in the last bit;
+    * the scalar product by ``factor + 0i`` differs from scaling both
+      parts by ``factor`` only in the sign of a zero, and no zero's sign
+      reaches an amplitude: every sum starts from +0;
+    * ``np.bincount`` adds each amplitude's terms in the loop's order.
     """
     init = tuple(init)
     if len(init) != basis.n_modes or sum(init) != basis.n_particles:
@@ -254,22 +316,22 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
     if coeffs.shape != (basis.n_modes, basis.n_modes):
         raise ValueError("coefficient matrix must be L x L")
 
-    L = basis.n_modes
-    terms: dict[tuple[int, ...], complex] = {(0,) * L: 1.0 + 0.0j}
-    for p in range(L, 0, -1):
-        for _ in range(init[p - 1]):
-            new: dict[tuple[int, ...], complex] = {}
-            row = coeffs[p - 1]
-            for occ, amp in terms.items():
-                for i, factor, occ2 in _creations(occ, basis.stats):
-                    c = row[i]
-                    if c == 0:
-                        continue
-                    new[occ2] = new.get(occ2, 0.0j) + amp * c * factor
-            terms = new
+    zeros = (coeffs[[p for p in range(basis.n_modes) if init[p]]] == 0).tobytes()
+    steps, positions = _expansion_plan(basis, init, zeros)
+    flat = coeffs.reshape(-1)
+    re, im = np.ones(1), np.zeros(1)
+    for src, col, factor, dst, size in steps:
+        ar, ai = re[src], im[src]
+        c = flat[col]
+        cr, ci = c.real, c.imag
+        pr = (ar * cr - ai * ci) * factor
+        pi = (ar * ci + ai * cr) * factor
+        re = np.bincount(dst, weights=pr, minlength=size)
+        im = np.bincount(dst, weights=pi, minlength=size)
 
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
     norm = math.sqrt(math.prod(math.factorial(n) for n in init))
     amp = np.zeros(len(basis), dtype=complex)
-    for occ, value in terms.items():
-        amp[basis.index(occ)] = value / norm
+    amp[positions] = values / norm
     return ManyBodyState(basis, amp)

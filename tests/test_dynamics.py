@@ -13,6 +13,7 @@ from triqw import (
     many_body_hamiltonian,
     single_particle_propagator,
 )
+from triqw.dynamics import _sine_basis
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS
@@ -56,6 +57,17 @@ class TestPropagator:
             mat = single_particle_propagator(LatticeParams(6), tau)
             assert np.abs(mat @ mat.conj().T - np.eye(6)).max() <= 1e-12
             assert np.abs(mat - mat.T).max() <= 1e-12
+
+    def test_cached_sine_basis_is_read_only_and_shared(self):
+        cosines, sines = _sine_basis(6)
+        again = _sine_basis(6)
+        assert again[0] is cosines and again[1] is sines
+        for table in (cosines, sines):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        k = np.arange(1, 7)
+        assert cosines.tobytes() == np.cos(k * np.pi / 7).tobytes()
+        assert sines.tobytes() == np.sin(np.outer(k, k) * np.pi / 7).tobytes()
 
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):

@@ -43,11 +43,13 @@ from triqw import (
     tripartite_negativity,
     walk_scan,
 )
+from triqw import entanglement
 from triqw.entanglement import (
     PROBABILITY_FLOOR,
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
+    _sector_parts,
     _tensor_norm_constants,
     tensor_norm_squared,
 )
@@ -125,6 +127,20 @@ class TestSectorProjection:
     def test_counts_must_sum_to_particle_number(self):
         with pytest.raises(ValueError):
             project_sector(chi_state(), CHI_PARTITION, (1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "counts", [(1, 2), (4, -1, 0), (1, 1, 1, 0), (), (1.5, 1.5, 0.0), ("3", "0", "0")]
+    )
+    def test_counts_must_be_three_non_negative_integers(self, counts):
+        # (1, 2) and (4, -1, 0) sum to N=3, so only the shape check rejects them
+        with pytest.raises(ValueError, match="sector counts"):
+            project_sector(phi_state(0.3, 0.7), ADJACENT_PARTITION, counts)
+
+    def test_two_fermions_on_a_one_mode_party_have_zero_probability(self):
+        state = ManyBodyState.basis_ket(enumerate_basis(2, 3, FER), (1, 1, 0))
+        sec = project_sector(state, CHI_PARTITION, (2, 0, 0))
+        assert (sec.prob, sec.rho) == (0.0, None)
+        assert project_sector(state, CHI_PARTITION, (np.int64(1), 1, 0)).prob == 1.0
 
     @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
     def test_fermionic_signs_match_parity_oracle(self, partition):
@@ -286,6 +302,12 @@ class TestNegativities:
         bad = DensityMatrix((2, 2, 2), 2.0 * GHZ.mat)
         with pytest.raises(ValueError):
             bipartite_negativity(bad, 0)
+
+    @pytest.mark.parametrize("party", [-1, 3])
+    def test_party_out_of_range(self, party):
+        # -1 would otherwise index the last party, and 3 numpy's axes
+        with pytest.raises(ValueError, match="out of range"):
+            bipartite_negativity(GHZ, party)
 
     def test_negativity_upper_bound(self):
         # N_{I-JK} <= d_I - 1 on random pure states
@@ -458,6 +480,60 @@ class TestEpsTKernel:
             assert np.abs(negs[b, :, 3] - tpn).max() <= 1e-12
             assert eps_t[b] == pytest.approx(np.sum(probs[b] * tpn), abs=1e-12)
         # a batch of B states equals B batches of one
+        for b in range(len(states)):
+            single = _eps_t_kernel(dec, states[b : b + 1])
+            for batched, alone in zip((probs, negs, eps_t), single):
+                assert np.abs(batched[b] - alone[0]).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stats=st.sampled_from([BOS, FER]),
+        modes=st.permutations(range(1, 7)),
+        case=state_stacks(),
+    )
+    def test_kernel_is_bit_identical_to_per_sector_path(self, stats, modes, case):
+        # Pins the sector probabilities, which skip the signs, and the one
+        # stacked eigensolve to the trace of the signed block and to the
+        # per-cut negativity.  Each state goes in as a batch of one, as in
+        # entanglement_of_particles: numpy may order the sums of a longer
+        # batch differently, so bits agree only between equal batch sizes.
+        partition = Partition(modes[:2], modes[2:4], modes[4:])
+        basis = enumerate_basis(3, 6, stats)
+        dec = _decomposition(basis, partition)
+        for item in random_stack(basis, *case):
+            probs, negs, _ = _eps_t_kernel(dec, item[None])
+            if item.ndim == 1:
+                state = ManyBodyState(basis, item)
+            else:
+                state = DensityMatrix((len(basis),), item)
+            for k, (counts, sector) in enumerate(dec.sectors.items()):
+                signed = _sector_parts(sector, item[None])[1]
+                if item.ndim == 1:
+                    trace = np.sum(np.abs(signed) ** 2, axis=1)[0]
+                else:
+                    trace = np.trace(signed, axis1=1, axis2=2).real[0]
+                sec = project_sector(state, partition, counts, basis=basis)
+                assert np.float64(sec.prob).tobytes() == trace.tobytes()
+                if sec.prob <= PROBABILITY_FLOOR:
+                    assert probs[0, k] == 0.0 and not negs[0, k].any()
+                    continue
+                assert probs[0, k].tobytes() == np.float64(sec.prob).tobytes()
+                if min(sector.dims) == 1:
+                    assert not negs[0, k].any()
+                    continue
+                for party in range(3):
+                    expected = bipartite_negativity(sec.rho, party)
+                    assert negs[0, k, party].tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_eigensolve_chunks_match_single_states(self, monkeypatch, rank):
+        # five live states in chunks of 2, 2 and 1
+        monkeypatch.setattr(entanglement, "_EIGENSOLVE_CHUNK", 2)
+        basis = enumerate_basis(3, 6, BOS)
+        dec = _decomposition(basis, ALTERNATING_PARTITION)
+        states = random_stack(basis, 11, 5, rank)
+        probs, negs, eps_t = _eps_t_kernel(dec, states)
+        assert negs[:, list(dec.sectors).index((1, 1, 1)), 3].all()
         for b in range(len(states)):
             single = _eps_t_kernel(dec, states[b : b + 1])
             for batched, alone in zip((probs, negs, eps_t), single):

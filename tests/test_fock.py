@@ -8,15 +8,21 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import monomial_expansion
 from triqw import (
+    ADJACENT_PARTITION,
+    WALK_INIT,
     DensityMatrix,
     FockBasis,
+    LatticeParams,
     ManyBodyState,
     Statistics,
     apply_annihilation,
     apply_creation,
     build_monomial_state,
     enumerate_basis,
+    single_particle_propagator,
+    walk_scan,
 )
+from triqw.fock import _expansion_plan
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS
@@ -232,6 +238,43 @@ def test_monomial_state_is_bit_identical_to_per_call_expansion(case):
     basis, coeffs, init = case
     state = build_monomial_state(basis, coeffs, init)
     assert state.amp.tobytes() == monomial_expansion(basis, coeffs, init).tobytes()
+
+
+class TestExpansionPlanCache:
+    """One expansion plan per (basis, init, pattern of exact zeros)."""
+
+    def test_walk_scan_builds_one_plan(self):
+        _expansion_plan.cache_clear()
+        walk_scan(BOS, ADJACENT_PARTITION, steps=400)
+        info = _expansion_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 399)
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    def test_an_exact_zero_builds_a_second_plan(self, stats):
+        basis = enumerate_basis(3, 6, stats)
+        coeffs = single_particle_propagator(LatticeParams(6), 2.3)
+        _expansion_plan.cache_clear()
+        build_monomial_state(basis, coeffs, WALK_INIT)
+        zeroed = coeffs.copy()
+        zeroed[1, 4] = 0.0  # row 1 belongs to an occupied site of WALK_INIT
+        state = build_monomial_state(basis, zeroed, WALK_INIT)
+        assert _expansion_plan.cache_info().misses == 2
+        assert state.amp.tobytes() == monomial_expansion(basis, zeroed, WALK_INIT).tobytes()
+        # a zero in a row of an empty site does not enter the key
+        zeroed = coeffs.copy()
+        zeroed[4, 1] = 0.0
+        build_monomial_state(basis, zeroed, WALK_INIT)
+        assert _expansion_plan.cache_info().misses == 2
+
+    def test_plan_arrays_are_read_only(self):
+        basis = enumerate_basis(3, 6, BOS)
+        zeros = np.zeros((3, 6), dtype=bool).tobytes()
+        steps, positions = _expansion_plan(basis, WALK_INIT, zeros)
+        arrays = [arr for step in steps for arr in step if isinstance(arr, np.ndarray)]
+        assert len(arrays) == 4 * len(steps) == 12
+        for arr in arrays + [positions]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
 
 
 def test_many_body_state_validation():
