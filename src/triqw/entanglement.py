@@ -11,7 +11,14 @@ Two quantities are computed for a three-party split of the modes:
   function and the scans; every partial-transpose negativity goes
   through ``_negativity``.  The sector decomposition depends only on the
   basis and the partition, so every caller shares one cached instance
-  per pair (``_decomposition``).
+  per pair (``_decomposition``), with its kernel plan (``_kernel_plan``):
+  the sector gathers stacked by length, for one probability gather per
+  length, and, for each sector whose parties all have more than one
+  local state, the positions and signs of its three partial transposes
+  in the full matrix.  These compose the sector's gather with the cached
+  partial-transpose permutation of its dims (``_transpose_index``),
+  which ``partial_transpose`` also uses, so a call gathers the
+  transposes straight from its input.
 * ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
   built from triple products of su(d) generators on the occupation-qubit
   isomorphism, minus its value on fully factorized kets.  Production
@@ -32,6 +39,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,6 +174,9 @@ class SectorDecomposition:
             local, index, sign = zip(*sorted(grouped[counts]))
             dims = tuple(len(set(patterns)) for patterns in zip(*local))
             self.sectors[counts] = Sector(counts, dims, _read_only(index), _read_only(sign))
+        self._probability_groups, self._live = _kernel_plan(
+            list(self.sectors.values()), len(basis)
+        )
 
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
@@ -188,6 +199,50 @@ def _decomposition(basis: FockBasis, partition: Partition) -> SectorDecompositio
     return SectorDecomposition(basis, partition)
 
 
+class _LiveSector(NamedTuple):
+    """A sector whose every local dimension exceeds one, as gather tables.
+
+    ``col`` is its position in ``dec.sectors``.  Entry (p, i, j) of its
+    partial transpose over party p is entry ``pt_index[p, i, j]`` of the
+    flattened n x n density matrix times ``pt_sign[p, i, j]``, the product
+    of the two +-1 signs of the block entry it came from.
+    """
+
+    col: int
+    sector: Sector
+    pt_index: np.ndarray
+    pt_sign: np.ndarray
+
+
+def _kernel_plan(sectors: list[Sector], n: int):
+    """What ``_eps_t_kernel`` gathers, fixed by the basis and the partition.
+
+    ``sectors`` are a decomposition's, in order, on a basis of n states.
+    Returns the probability groups, one ``(cols, index)`` pair per sector
+    length d: the (m,) positions and the (m, d) stacked ``index`` arrays
+    of every sector of that length, so one gather and one sum over the
+    last axis give all their probabilities; and the ``_LiveSector`` of
+    every sector whose local dimensions all exceed one, the only ones
+    with non-zero negativities.  Every array is read-only.
+    """
+    by_length: dict[int, list[int]] = {}
+    live = []
+    for k, sector in enumerate(sectors):
+        by_length.setdefault(len(sector.index), []).append(k)
+        if min(sector.dims) > 1:
+            perm = _transpose_index(sector.dims)
+            shape = (len(sector.dims),) + (len(sector.index),) * 2
+            entries = np.add.outer(sector.index * n, sector.index).reshape(-1)
+            signs = np.outer(sector.sign, sector.sign).reshape(-1)
+            pt_index, pt_sign = entries[perm].reshape(shape), signs[perm].reshape(shape)
+            live.append(_LiveSector(k, sector, _read_only(pt_index), _read_only(pt_sign)))
+    groups = tuple(
+        (_read_only(cols, np.intp), _read_only([sectors[k].index for k in cols], np.intp))
+        for cols in by_length.values()
+    )
+    return groups, tuple(live)
+
+
 def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
     """Probability and normalized block of a batch-of-one stack in one sector."""
     probs, parts = _sector_parts(sector, stack)
@@ -197,14 +252,16 @@ def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
     return SectorState(sector.counts, sector.dims, float(probs[0]), rho)
 
 
-def _sector_probs(sector: Sector, states: np.ndarray) -> np.ndarray:
-    """Sector probabilities (B,) of a stack of (B, n) amplitude vectors or
+def _sector_probs(states: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Sector probabilities of a stack of (B, n) amplitude vectors or
     (B, n, n) density matrices: the sum of ``|amp|^2`` or of the diagonal
-    over the sector's basis states.  A sign of +-1 changes no modulus and
-    no diagonal entry, so it is left out."""
+    over the basis states of one sector's ``index`` (d,), giving (B,), or
+    of each row of a stack of equal-length indices (m, d), giving (B, m).
+    A sign of +-1 changes no modulus and no diagonal entry, so it is left
+    out."""
     if states.ndim == 3:
-        return states[:, sector.index, sector.index].sum(axis=1).real
-    return np.sum(np.abs(states[:, sector.index]) ** 2, axis=1)
+        return states[:, index, index].sum(axis=-1).real
+    return (np.abs(states[:, index]) ** 2).sum(axis=-1)
 
 
 def _sector_parts(sector: Sector, states: np.ndarray):
@@ -217,7 +274,7 @@ def _sector_parts(sector: Sector, states: np.ndarray):
         parts = parts * np.outer(sector.sign, sector.sign)
     else:
         parts = states[:, sector.index] * sector.sign
-    return _sector_probs(sector, states), parts
+    return _sector_probs(states, sector.index), parts
 
 
 def _normalized_blocks(parts: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -279,17 +336,22 @@ def _sector_counts(counts) -> tuple[int, int, int]:
 # negativities
 
 
-def _partial_transposes(mats: np.ndarray, dims, parties) -> np.ndarray:
-    """Stack of the partial transposes of (a stack of) matrices on
-    ``dims``, one per party in ``parties`` along a new leading axis.  Each
-    is copied straight into the stack."""
-    dims = tuple(dims)
-    lead = mats.ndim - 2
-    tensor = mats.reshape(mats.shape[:lead] + dims + dims)
-    out = np.empty((len(parties),) + tensor.shape, dtype=mats.dtype)
-    for pt, party in zip(out, parties):
-        pt[...] = np.swapaxes(tensor, lead + party, lead + party + len(dims))
-    return out.reshape((len(parties),) + mats.shape)
+@functools.lru_cache(maxsize=64)
+def _transpose_index(dims: tuple[int, ...]) -> np.ndarray:
+    """Gather index of every one-party partial transpose on ``dims``.
+
+    Row ``p`` lists, for each entry of the flattened D x D partial
+    transpose over party ``p`` (D = prod(dims)), the position of the
+    entry of the flattened matrix it takes.  It is the one definition of
+    the partial transpose: ``partial_transpose`` gathers through it, and
+    the kernel plan composes it with each sector's gather.  Read-only,
+    because rows are shared between callers.
+    """
+    size = math.prod(dims)
+    grid = np.arange(size * size).reshape(dims + dims)
+    return _read_only(
+        [np.swapaxes(grid, p, p + len(dims)).reshape(-1) for p in range(len(dims))], np.intp
+    )
 
 
 def _check_party(rho: DensityMatrix, party: int) -> None:
@@ -300,20 +362,19 @@ def _check_party(rho: DensityMatrix, party: int) -> None:
 def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
     """Transpose the indices of one party; an involution."""
     _check_party(rho, party)
-    return DensityMatrix(rho.dims, _partial_transposes(rho.mat, rho.dims, (party,))[0])
+    mat = rho.mat.reshape(-1)[_transpose_index(rho.dims)[party]]
+    return DensityMatrix(rho.dims, mat.reshape(rho.mat.shape))
 
 
-def _negativity(mats: np.ndarray, dims, parties) -> np.ndarray:
-    """One-versus-rest negativities of a stack of trace-one density
-    matrices, one per party in ``parties`` along a new leading axis.
+def _negativity(transposes: np.ndarray) -> np.ndarray:
+    """Negativities of a stack of partial transposes of trace-one density
+    matrices: the sum of absolute eigenvalues minus one, floored at 0.
 
-    The sum of absolute eigenvalues of the partial transpose minus one,
-    floored at 0.  The partial transpose of a Hermitian matrix is
-    Hermitian, so one batched Hermitian solve takes every party's
-    transposes; LAPACK solves each matrix on its own, reading one
-    triangle.
+    The partial transpose of a Hermitian matrix is Hermitian, so one
+    batched Hermitian solve takes the whole stack; LAPACK solves each
+    matrix on its own, reading one triangle.
     """
-    eig = np.linalg.eigvalsh(_partial_transposes(mats, dims, parties))
+    eig = np.linalg.eigvalsh(transposes)
     return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
 
@@ -326,7 +387,7 @@ def bipartite_negativity(rho: DensityMatrix, party: int) -> float:
     _check_party(rho, party)
     if abs(rho.trace() - 1.0) > NEGATIVITY_TRACE_TOL:
         raise ValueError("negativity expects a trace-one density matrix")
-    return float(_negativity(rho.mat, rho.dims, (party,))[0])
+    return float(_negativity(partial_transpose(rho, party).mat))
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
@@ -355,35 +416,51 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
       noise on the zero factor);
     * ``eps_t`` (B,), the probability-weighted sum of the TPN.
 
-    A sector with a one-dimensional party needs only its probability, so
-    its blocks are never gathered (``_sector_probs``).  In the other
-    sectors the three partial transposes of up to _EIGENSOLVE_CHUNK live
-    blocks go to one eigensolve.  On a batch of one, both give bit for
-    bit what ``project_sector`` and ``bipartite_negativity`` give on the
-    same sector; numpy may order the sums of a longer batch differently.
+    Nothing loops over every sector: the decomposition's kernel plan
+    (``_kernel_plan``) fixes the gathers.  One gather and one sum over the
+    last axis per sector length fill every column of ``probs``; a sector
+    with a one-dimensional party needs nothing more.  Each live sector
+    (every local dimension > 1; for three particles at most (1, 1, 1))
+    gathers the three partial transposes of up to _EIGENSOLVE_CHUNK of
+    its states above the floor straight from the input
+    (``_live_transposes``) and sends them to one eigensolve.  On a batch
+    of one, both give bit for bit what ``project_sector`` and
+    ``bipartite_negativity`` give on the same sector; numpy may order the
+    sums of a longer batch differently.
     """
     probs = np.zeros((len(states), len(dec.sectors)))
-    negs = np.zeros(probs.shape + (4,))
-    for k, sector in enumerate(dec.sectors.values()):
-        if min(sector.dims) == 1:
-            probs[:, k] = _sector_probs(sector, states)
-            continue
-        prob, parts = _sector_parts(sector, states)
-        probs[:, k] = prob
-        live = prob > PROBABILITY_FLOOR
-        if live.any():
-            rhos = _normalized_blocks(parts[live], prob[live])
-            cuts = np.concatenate(
-                [
-                    _negativity(rhos[lo : lo + _EIGENSOLVE_CHUNK], sector.dims, (0, 1, 2))
-                    for lo in range(0, len(rhos), _EIGENSOLVE_CHUNK)
-                ],
-                axis=1,
-            )
-            negs[live, k, :3] = cuts.T
-            negs[live, k, 3] = np.cbrt(np.prod(cuts, axis=0))
+    for cols, index in dec._probability_groups:
+        probs[:, cols] = _sector_probs(states, index)
     probs[probs <= PROBABILITY_FLOOR] = 0.0
-    return probs, negs, np.sum(probs * negs[..., 3], axis=1)
+    negs = np.zeros(probs.shape + (4,))
+    for live in dec._live:
+        rows = np.flatnonzero(probs[:, live.col])
+        for lo in range(0, len(rows), _EIGENSOLVE_CHUNK):
+            b = rows[lo : lo + _EIGENSOLVE_CHUNK]
+            cuts = _negativity(_live_transposes(live, states, b, probs[b, live.col]))
+            negs[b, live.col, :3] = cuts
+            negs[b, live.col, 3] = np.cbrt(cuts.prod(axis=-1))
+    return probs, negs, (probs * negs[..., 3]).sum(axis=1)
+
+
+def _live_transposes(live: _LiveSector, states: np.ndarray, b, prob) -> np.ndarray:
+    """The (P, 3, d, d) partial transposes of the normalised blocks of
+    states ``b`` (P,) of the stack in a live sector, whose probabilities
+    are ``prob`` (P,).
+
+    A density matrix's transposes are one gather through ``pt_index``; a
+    pure state's normalised outer-product blocks are gathered through
+    ``_transpose_index``.  Each entry is the product or quotient of the
+    same operands as in ``project_sector``'s block, so the entries are bit
+    for bit those of ``partial_transpose`` of that block.
+    """
+    if states.ndim == 3:
+        parts = states.reshape(len(states), -1)[b[:, None, None, None], live.pt_index]
+        return parts * live.pt_sign / prob[:, None, None, None]
+    sector = live.sector
+    blocks = _normalized_blocks(states[b[:, None], sector.index] * sector.sign, prob)
+    transposes = blocks.reshape(len(b), -1)[:, _transpose_index(sector.dims)]
+    return transposes.reshape((len(b),) + live.pt_index.shape)
 
 
 @dataclass(frozen=True)
@@ -405,7 +482,10 @@ class EntanglementReport:
     eps_t: float
 
     def sector(self, counts) -> SectorRecord | None:
-        counts = tuple(int(n) for n in counts)
+        """The record of the sector with local ``counts``, or None if it
+        was dropped; counts that are not three non-negative integers
+        raise ValueError."""
+        counts = _sector_counts(counts)
         for rec in self.sectors:
             if rec.counts == counts:
                 return rec
@@ -422,9 +502,17 @@ def entanglement_of_particles(
     ``_eps_t_kernel`` as a batch of one; the report lists the sectors
     with probability above 1e-14, and sectors in which any party has a
     one-dimensional local space (no particles, or no room left by
-    exclusion) carry zero negativities.
+    exclusion) carry zero negativities.  The state must be normalised:
+    a trace or squared norm more than NEGATIVITY_TRACE_TOL from one
+    raises ValueError, because it would scale ``eps_T``.
     """
     dec, stack = _decomposed(state, partition, basis)
+    if isinstance(state, DensityMatrix):
+        weight, name = state.trace(), "trace"
+    else:
+        weight, name = float(np.vdot(state.amp, state.amp).real), "squared norm"
+    if abs(weight - 1.0) > NEGATIVITY_TRACE_TOL:
+        raise ValueError(f"eps_T expects a normalised state, got {name} {weight!r}")
     probs, negs, eps_t = _eps_t_kernel(dec, stack)
     records = tuple(
         SectorRecord(counts, prob, *sector_negs)

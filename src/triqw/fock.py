@@ -218,12 +218,16 @@ class DensityMatrix:
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         self.mat = np.asarray(self.mat, dtype=complex)
-        d = int(np.prod(self.dims))
+        d = math.prod(self.dims)
         if self.mat.shape != (d, d):
             raise ValueError(f"matrix shape {self.mat.shape} does not match dims {self.dims}")
-        if not np.isfinite(self.mat).all():
-            raise ValueError("density matrix entries must be finite")
-        if np.abs(self.mat - self.mat.conj().T).max() > 1e-12:
+        # One pass: a non-finite entry makes the residual nan or inf, so
+        # the finiteness check runs only to pick the message.
+        with np.errstate(invalid="ignore"):
+            residual = np.abs(self.mat - self.mat.conj().T).max()
+        if not residual <= 1e-12:
+            if not np.isfinite(self.mat).all():
+                raise ValueError("density matrix entries must be finite")
             raise ValueError("density matrix is not Hermitian within 1e-12")
 
     def trace(self) -> float:

@@ -49,8 +49,10 @@ from triqw.entanglement import (
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
+    _live_transposes,
     _sector_parts,
     _tensor_norm_constants,
+    _transpose_index,
     tensor_norm_squared,
 )
 
@@ -422,6 +424,53 @@ class TestEntanglementOfParticles:
             else:
                 entanglement_of_particles(ManyBodyState(basis, amp), ADJACENT_PARTITION)
 
+    @pytest.mark.parametrize("scale", [3.0, 0.5, 1.0 + 1e-9])
+    @pytest.mark.parametrize("dense", [False, True], ids=["state", "density"])
+    def test_unnormalised_input_is_rejected(self, dense, scale):
+        # a trace-3 walk density matrix used to give three times eps_T
+        stats = BOS
+        basis = enumerate_basis(3, 6, stats)
+        state = evolve_state(WALK_INIT, LatticeParams(6), 2.0, stats, basis=basis)
+        if dense:
+            bad = DensityMatrix((len(basis),), scale * DensityMatrix.from_state(state).mat)
+            kwargs = {"basis": basis}
+        else:
+            bad = ManyBodyState(basis, math.sqrt(scale) * state.amp)
+            kwargs = {}
+        with pytest.raises(ValueError, match="normalised"):
+            entanglement_of_particles(bad, ADJACENT_PARTITION, **kwargs)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["state", "density"])
+    def test_rounding_of_the_norm_is_accepted(self, dense):
+        stats = FER
+        basis = enumerate_basis(3, 6, stats)
+        state = random_state(basis, 71)
+        scale = 1.0 + 1e-12
+        if dense:
+            near = DensityMatrix((len(basis),), scale * DensityMatrix.from_state(state).mat)
+            report = entanglement_of_particles(near, ADJACENT_PARTITION, basis=basis)
+        else:
+            near = ManyBodyState(basis, math.sqrt(scale) * state.amp)
+            report = entanglement_of_particles(near, ADJACENT_PARTITION)
+        exact = entanglement_of_particles(state, ADJACENT_PARTITION).eps_t
+        assert report.eps_t == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "counts", [(1.7, 1, 1), (1, 1), (1, 1, 1, 0), (4, -1, 0), "111", None]
+    )
+    def test_report_sector_rejects_bad_counts(self, counts):
+        # (1.7, 1, 1) used to be truncated to the (1, 1, 1) record
+        report = entanglement_of_particles(phi_state(0.3, 0.7), ADJACENT_PARTITION)
+        with pytest.raises(ValueError, match="three non-negative integers"):
+            report.sector(counts)
+
+    def test_report_sector_accepts_integer_types(self):
+        report = entanglement_of_particles(phi_state(0.3, 0.7), ADJACENT_PARTITION)
+        record = report.sector((1, 1, 1))
+        assert record is not None
+        assert report.sector(np.array([1, 1, 1])) is record
+        assert report.sector([3, 0, 0]) is None
+
 
 @st.composite
 def state_stacks(draw):
@@ -524,6 +573,94 @@ class TestEpsTKernel:
                 for party in range(3):
                     expected = bipartite_negativity(sec.rho, party)
                     assert negs[0, k, party].tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stats=st.sampled_from([BOS, FER]),
+        n_particles=st.sampled_from([3, 4]),
+        modes=st.permutations(range(1, 7)),
+        case=state_stacks(),
+    )
+    def test_plan_transposes_are_bit_identical_to_partial_transpose(
+        self, stats, n_particles, modes, case
+    ):
+        # Four bosons have three live sectors with dims (3, 2, 2) and its
+        # permutations, so the plan is not tied to the (1, 1, 1) sector.
+        partition = Partition(modes[:2], modes[2:4], modes[4:])
+        basis = enumerate_basis(n_particles, 6, stats)
+        dec = _decomposition(basis, partition)
+        stack = random_stack(basis, *case)
+        for live in dec._live:
+            assert list(dec.sectors.values())[live.col] is live.sector
+            for b, item in enumerate(stack):
+                if item.ndim == 1:
+                    state = ManyBodyState(basis, item)
+                else:
+                    state = DensityMatrix((len(basis),), item)
+                sec = project_sector(state, partition, live.sector.counts, basis=basis)
+                if sec.rho is None:
+                    continue
+                pts = _live_transposes(live, stack, np.array([b]), np.array([sec.prob]))
+                assert pts.shape == (1, 3) + sec.rho.mat.shape
+                for party in range(3):
+                    expected = partial_transpose(sec.rho, party).mat
+                    assert pts[0, party].tobytes() == expected.tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        stats=st.sampled_from([BOS, FER]),
+        n_particles=st.sampled_from([3, 4]),
+        modes=st.permutations(range(1, 7)),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(2, 40),
+        rank=st.sampled_from([1, 2]),
+    )
+    def test_batch_equals_batches_of_one(self, stats, n_particles, modes, seed, batch, rank):
+        # up to 40 states, so a live sector can span two eigensolve chunks
+        partition = Partition(modes[:2], modes[2:4], modes[4:])
+        basis = enumerate_basis(n_particles, 6, stats)
+        dec = _decomposition(basis, partition)
+        states = random_stack(basis, seed, batch, rank)
+        batched = _eps_t_kernel(dec, states)
+        for b in range(batch):
+            for whole, alone in zip(batched, _eps_t_kernel(dec, states[b : b + 1])):
+                assert np.abs(whole[b] - alone[0]).max() <= 1e-14
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    def test_plan_arrays_are_read_only(self, stats):
+        dec = _decomposition(enumerate_basis(4, 6, stats), ALTERNATING_PARTITION)
+        arrays = [a for group in dec._probability_groups for a in group]
+        arrays += [a for live in dec._live for a in (live.pt_index, live.pt_sign)]
+        arrays += [_transpose_index(live.sector.dims) for live in dec._live]
+        assert arrays
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+        covered = np.concatenate([cols for cols, _ in dec._probability_groups])
+        assert sorted(covered.tolist()) == list(range(len(dec.sectors)))
+        live = [k for k, sec in enumerate(dec.sectors.values()) if min(sec.dims) > 1]
+        assert [entry.col for entry in dec._live] == live
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    def test_project_state_and_density_match_kernel(self, stats):
+        basis = enumerate_basis(3, 6, stats)
+        dec = _decomposition(basis, ADJACENT_PARTITION)
+        state = random_state(basis, 61)
+        dm = DensityMatrix.from_state(state)
+        for projected, stack in (
+            (dec.project_state(state), state.amp[None]),
+            (dec.project_density(dm), dm.mat[None]),
+        ):
+            probs = _eps_t_kernel(dec, stack)[0][0]
+            assert [sec.counts for sec in projected] == list(dec.sectors)
+            for sec, prob in zip(projected, probs):
+                same = project_sector(dm, ADJACENT_PARTITION, sec.counts, basis=basis)
+                assert sec.prob == pytest.approx(same.prob, abs=1e-14)
+                if sec.prob <= PROBABILITY_FLOOR:
+                    assert prob == 0.0
+                    continue
+                assert np.float64(sec.prob).tobytes() == prob.tobytes()
+                assert np.abs(sec.rho.mat - same.rho.mat).max() <= 1e-14
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_eigensolve_chunks_match_single_states(self, monkeypatch, rank):

@@ -302,3 +302,28 @@ def test_density_matrix_rejects_non_finite_entries(bad):
     mat[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         DensityMatrix((2, 2), mat)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({(0, 1): np.inf, (1, 0): np.inf}, "finite"),  # inf - inf in the residual
+        ({(0, 1): complex(np.nan, 1.0), (1, 0): 0.5}, "finite"),
+        ({(0, 1): 0.25, (1, 0): 0.0}, "not Hermitian"),
+        ({(0, 1): 1e-12 + 1e-11j, (1, 0): 1e-12 + 1e-11j}, "not Hermitian"),
+    ],
+)
+def test_density_matrix_residual_picks_the_message(entries, message):
+    # one residual decides; finiteness is checked only to name the failure
+    mat = np.eye(4, dtype=complex) / 4.0
+    for pos, value in entries.items():
+        mat[pos] = value
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix((2, 2), mat)
+
+
+def test_density_matrix_accepts_hermitian_within_tolerance():
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[0, 1] = 0.1 + 0.5e-12
+    mat[1, 0] = 0.1
+    assert DensityMatrix((2, 2), mat).trace() == pytest.approx(1.0, abs=1e-15)
