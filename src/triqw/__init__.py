@@ -6,13 +6,7 @@ geometric mode-entanglement measure, and the continuous-time quantum
 walk scenarios that exercise them.
 """
 
-from .dynamics import (
-    LatticeParams,
-    evolve_state,
-    evolve_state_oracle,
-    many_body_hamiltonian,
-    single_particle_propagator,
-)
+from .dynamics import LatticeParams, evolve_state, single_particle_propagator
 from .entanglement import (
     EntanglementReport,
     Partition,
@@ -25,7 +19,6 @@ from .entanglement import (
     mode_qubit_tensor,
     partial_transpose,
     project_sector,
-    su_generators,
     tripartite_negativity,
 )
 from .fock import (
@@ -33,13 +26,11 @@ from .fock import (
     FockBasis,
     ManyBodyState,
     Statistics,
-    apply_annihilation,
     apply_creation,
     build_monomial_state,
     enumerate_basis,
 )
 from .observables import (
-    expectation_oracle,
     interparticle_distance,
     single_particle_density,
     two_particle_correlation,
@@ -76,7 +67,6 @@ __all__ = [
     "Statistics",
     "WALK_INIT",
     "WalkScan",
-    "apply_annihilation",
     "apply_creation",
     "bipartite_negativity",
     "build_monomial_state",
@@ -85,11 +75,8 @@ __all__ = [
     "entanglement_of_particles",
     "enumerate_basis",
     "evolve_state",
-    "evolve_state_oracle",
-    "expectation_oracle",
     "geometric_measure",
     "interparticle_distance",
-    "many_body_hamiltonian",
     "mode_qubit_tensor",
     "partial_transpose",
     "phi_scan",
@@ -99,7 +86,6 @@ __all__ = [
     "single_particle_density",
     "single_particle_propagator",
     "snapshot",
-    "su_generators",
     "tripartite_negativity",
     "two_particle_correlation",
     "walk_scan",

@@ -18,13 +18,9 @@ from .fock import (
     ManyBodyState,
     Statistics,
     _read_only,
-    apply_annihilation,
-    apply_creation,
     build_monomial_state,
     enumerate_basis,
 )
-
-ORACLE_DIMENSION_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -82,29 +78,6 @@ def _sine_basis(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     return cosines, sines
 
 
-def many_body_hamiltonian(basis: FockBasis, params: LatticeParams) -> np.ndarray:
-    """Assemble G sum_i c_i^+ c_i + T sum_i (c_i^+ c_{i+1} + h.c.) on the basis."""
-    if basis.n_modes != params.n_modes:
-        raise ValueError("basis and lattice mode counts differ")
-    L = basis.n_modes
-    dim = len(basis)
-    ham = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(basis.states):
-        ham[col, col] += params.onsite * sum(occ)
-        for i in range(1, L):
-            for dst, src in ((i, i + 1), (i + 1, i)):
-                res = apply_annihilation(occ, src, basis.stats)
-                if res is None:
-                    continue
-                f1, occ1 = res
-                res = apply_creation(occ1, dst, basis.stats)
-                if res is None:
-                    continue
-                f2, occ2 = res
-                ham[basis.index(occ2), col] += params.tunneling * f1 * f2
-    return ham
-
-
 def evolve_state(
     init,
     params: LatticeParams,
@@ -118,7 +91,8 @@ def evolve_state(
     combination, then the monomial is expanded on the Fock basis.  The
     substitution matrix is the propagator itself (row p holds the
     amplitudes of site p spreading over the lattice); this orientation
-    is pinned by agreement with :func:`evolve_state_oracle`.  Only the
+    is pinned by agreement with ``evolve_state_oracle`` in
+    ``tests/oracles.py``, the dense ``exp(-iHt)`` reference.  Only the
     propagator's phases depend on tau: its sine basis and the expansion
     plan are cached per structure, so repeated calls on one ``basis`` and
     ``init`` redo only the arithmetic.  Passing ``basis`` also saves its
@@ -128,29 +102,3 @@ def evolve_state(
     if basis is None:
         basis = enumerate_basis(sum(init), params.n_modes, stats)
     return build_monomial_state(basis, single_particle_propagator(params, tau), init)
-
-
-def evolve_state_oracle(
-    init,
-    params: LatticeParams,
-    tau: float,
-    stats: Statistics,
-    basis: FockBasis | None = None,
-) -> ManyBodyState:
-    """Independent verification path: dense exp(-i H tau / T) |init>.
-
-    Uses the eigendecomposition of the full many-body Hamiltonian and no
-    propagator shortcut, guarded to Fock dimensions <= 1000.
-    """
-    init = tuple(init)
-    if basis is None:
-        basis = enumerate_basis(sum(init), params.n_modes, stats)
-    if len(basis) > ORACLE_DIMENSION_LIMIT:
-        raise ValueError(f"oracle limited to dimension {ORACLE_DIMENSION_LIMIT}")
-    ham = many_body_hamiltonian(basis, params)
-    evals, evecs = np.linalg.eigh(ham)
-    start = np.zeros(len(basis), dtype=complex)
-    start[basis.index(init)] = 1.0
-    phases = np.exp(-1.0j * evals * tau / params.tunneling)
-    amp = evecs @ (phases * (evecs.conj().T @ start))
-    return ManyBodyState(basis, amp)

@@ -25,7 +25,8 @@ Two quantities are computed for a three-party split of the modes:
   code evaluates the generator sum through its closed form in the
   one-party marginal purities (``_geometric_kernel``); the generator
   contraction ``tensor_norm_squared`` stays as the definitional
-  reference.
+  reference, and the generators it contracts (``su_generators``) are
+  built in ``tests/oracles.py``.
 
 Fermionic bookkeeping: each sector stores, per entry of its local
 product basis, the position of the global ket that entry gathers and
@@ -463,8 +464,7 @@ def _live_transposes(live: _LiveSector, states: np.ndarray, b, prob) -> np.ndarr
     return transposes.reshape((len(b),) + live.pt_index.shape)
 
 
-@dataclass(frozen=True)
-class SectorRecord:
+class SectorRecord(NamedTuple):
     counts: tuple[int, int, int]
     prob: float
     n_a_bc: float
@@ -524,35 +524,6 @@ def entanglement_of_particles(
 
 # ---------------------------------------------------------------------------
 # geometric mode-entanglement measure
-
-
-def su_generators(dim: int) -> np.ndarray:
-    """The d^2-1 generalized Gell-Mann matrices, Pauli-normalized.
-
-    Symmetric, antisymmetric and diagonal families, scaled so that
-    Tr(g_a g_b) = d * delta_ab.  For dim=2 this is exactly the Pauli
-    triple; for dim=4 the normalization makes the fully factorized
-    three-party tensor norm below come out at its separable value.
-    """
-    if dim < 2:
-        raise ValueError("generators need dimension >= 2")
-    mats = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            mats.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[j, k] = -1.0j
-            asym[k, j] = 1.0j
-            mats.append(asym)
-    for l in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=complex)
-        for j in range(l):
-            diag[j, j] = 1.0
-        diag[l, l] = -l
-        mats.append(math.sqrt(2.0 / (l * (l + 1))) * diag)
-    return math.sqrt(dim / 2.0) * np.array(mats)
 
 
 def mode_qubit_tensor(state: ManyBodyState, partition: Partition) -> np.ndarray:

@@ -151,21 +151,6 @@ def _creations(occ: tuple[int, ...], stats: Statistics):
     return tuple(table)
 
 
-def apply_annihilation(occ, mode: int, stats: Statistics):
-    """Apply c_mode to a basis ket; adjoint of :func:`apply_creation`.
-
-    Returns ``(factor, new_occ)`` or ``None`` when the mode is empty.
-    """
-    _check_mode(occ, mode)
-    i = mode - 1
-    if occ[i] == 0:
-        return None
-    if stats.exclusive:
-        sign = -1.0 if sum(occ[:i]) % 2 else 1.0
-        return sign, occ[:i] + (0,) + occ[i + 1 :]
-    return math.sqrt(occ[i]), occ[:i] + (occ[i] - 1,) + occ[i + 1 :]
-
-
 @dataclass
 class ManyBodyState:
     """Complex amplitude vector over an enumerated Fock basis."""
@@ -184,12 +169,6 @@ class ManyBodyState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
-
-    def normalized(self) -> "ManyBodyState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return ManyBodyState(self.basis, self.amp / n)
 
     def overlap(self, other: "ManyBodyState") -> complex:
         """<self|other> on a shared basis."""

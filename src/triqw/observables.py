@@ -1,4 +1,4 @@
-"""Closed-form walk observables and a Fock-space expectation oracle.
+"""Closed-form walk observables.
 
 The production quantities are evaluated directly from the single-particle
 propagator, so their cost is polynomial in the mode count and independent
@@ -9,16 +9,13 @@ of the Fock dimension:
               (+ for bosons, - for fermions), plus the bosonic
               same-site term sum_p |C_rp|^2 |C_sp|^2 n_p (n_p - 1)
 * distance    g(Delta) = sum_q Gamma_{q, q+Delta}, single-sided
-
-``expectation_oracle`` computes the same quantities as direct state
-expectations for cross-validation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import ManyBodyState, Statistics, apply_annihilation, apply_creation
+from .fock import Statistics
 
 
 def single_particle_density(prop, occupations) -> np.ndarray:
@@ -63,43 +60,3 @@ def interparticle_distance(gamma: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma)
     L = gamma.shape[0]
     return np.array([np.trace(gamma, offset=delta) for delta in range(L)])
-
-
-def expectation_oracle(state: ManyBodyState, creators, annihilators) -> float:
-    """Expectation of a normal-ordered product of ladder operators.
-
-    Evaluates ``<state| c^+_{creators[0]} ... c_{annihilators[-1]} |state>``
-    by direct operator application (cost grows with the Fock dimension;
-    intended for validation, not production).  The mode multisets must
-    match so the observable is Hermitian.
-    """
-    creators = tuple(int(m) for m in creators)
-    annihilators = tuple(int(m) for m in annihilators)
-    if sorted(creators) != sorted(annihilators):
-        raise ValueError("observable is not Hermitian: creator/annihilator modes differ")
-
-    stats = state.basis.stats
-    terms = {
-        occ: state.amp[i]
-        for i, occ in enumerate(state.basis.states)
-        if state.amp[i] != 0.0
-    }
-    # rightmost operator acts first
-    ops = [(apply_annihilation, m) for m in reversed(annihilators)]
-    ops += [(apply_creation, m) for m in reversed(creators)]
-    for apply_op, mode in ops:
-        new: dict[tuple[int, ...], complex] = {}
-        for occ, amp in terms.items():
-            res = apply_op(occ, mode, stats)
-            if res is None:
-                continue
-            factor, occ2 = res
-            new[occ2] = new.get(occ2, 0.0j) + factor * amp
-        terms = new
-
-    value = 0.0j
-    for occ, amp in terms.items():
-        value += np.conj(state.amp[state.basis.index(occ)]) * amp
-    if abs(value.imag) > 1e-12:
-        raise ArithmeticError(f"Hermitian expectation came out complex: {value}")
-    return float(value.real)

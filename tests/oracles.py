@@ -1,11 +1,16 @@
 """Independent verification oracles shared across the test suite.
 
 These deliberately avoid the production code paths (and, apart from
-``hermitian_eigenvalues``, LAPACK's Hermitian solvers) so that agreement
-with them is evidence, not tautology.  ``monomial_expansion`` is the
-exception by design: it repeats the expansion loop of
-``build_monomial_state`` with one ``apply_creation`` call per term and
-mode, to pin the table-driven loop bit for bit.
+``hermitian_eigenvalues`` and ``evolve_state_oracle``, LAPACK's Hermitian
+solvers) so that agreement with them is evidence, not tautology.
+``monomial_expansion`` is the exception by design: it repeats the
+expansion loop of ``build_monomial_state`` with one ``apply_creation``
+call per term and mode, to pin the table-driven loop bit for bit.
+
+The definitional forms of the library's quantities live here too: the
+annihilation operator, the many-body hopping Hamiltonian and the dense
+``exp(-iHt)`` walk, the operator-by-operator Fock-space expectation and
+the su(d) generators of the geometric measure's tensor norm.
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ import math
 
 import numpy as np
 
-from triqw.fock import apply_creation
+from triqw import FockBasis, LatticeParams, ManyBodyState, Statistics, enumerate_basis
+from triqw.fock import _check_mode, apply_creation
+
+ORACLE_DIMENSION_LIMIT = 1000
 
 
 def bubble_sort_parity(seq) -> float:
@@ -165,3 +173,137 @@ def monomial_expansion(basis, coeffs, init) -> np.ndarray:
     for occ, value in terms.items():
         amp[basis.index(occ)] = value / norm
     return amp
+
+
+def apply_annihilation(occ, mode: int, stats: Statistics):
+    """Apply c_mode to a basis ket; adjoint of :func:`apply_creation`.
+
+    Returns ``(factor, new_occ)`` or ``None`` when the mode is empty.
+    """
+    _check_mode(occ, mode)
+    i = mode - 1
+    if occ[i] == 0:
+        return None
+    if stats.exclusive:
+        sign = -1.0 if sum(occ[:i]) % 2 else 1.0
+        return sign, occ[:i] + (0,) + occ[i + 1 :]
+    return math.sqrt(occ[i]), occ[:i] + (occ[i] - 1,) + occ[i + 1 :]
+
+
+def many_body_hamiltonian(basis: FockBasis, params: LatticeParams) -> np.ndarray:
+    """Assemble G sum_i c_i^+ c_i + T sum_i (c_i^+ c_{i+1} + h.c.) on the basis."""
+    if basis.n_modes != params.n_modes:
+        raise ValueError("basis and lattice mode counts differ")
+    L = basis.n_modes
+    dim = len(basis)
+    ham = np.zeros((dim, dim), dtype=complex)
+    for col, occ in enumerate(basis.states):
+        ham[col, col] += params.onsite * sum(occ)
+        for i in range(1, L):
+            for dst, src in ((i, i + 1), (i + 1, i)):
+                res = apply_annihilation(occ, src, basis.stats)
+                if res is None:
+                    continue
+                f1, occ1 = res
+                res = apply_creation(occ1, dst, basis.stats)
+                if res is None:
+                    continue
+                f2, occ2 = res
+                ham[basis.index(occ2), col] += params.tunneling * f1 * f2
+    return ham
+
+
+def evolve_state_oracle(
+    init,
+    params: LatticeParams,
+    tau: float,
+    stats: Statistics,
+    basis: FockBasis | None = None,
+) -> ManyBodyState:
+    """Independent verification path: dense exp(-i H tau / T) |init>.
+
+    Uses the eigendecomposition of the full many-body Hamiltonian and no
+    propagator shortcut, guarded to Fock dimensions <= 1000.
+    """
+    init = tuple(init)
+    if basis is None:
+        basis = enumerate_basis(sum(init), params.n_modes, stats)
+    if len(basis) > ORACLE_DIMENSION_LIMIT:
+        raise ValueError(f"oracle limited to dimension {ORACLE_DIMENSION_LIMIT}")
+    ham = many_body_hamiltonian(basis, params)
+    evals, evecs = np.linalg.eigh(ham)
+    start = np.zeros(len(basis), dtype=complex)
+    start[basis.index(init)] = 1.0
+    phases = np.exp(-1.0j * evals * tau / params.tunneling)
+    amp = evecs @ (phases * (evecs.conj().T @ start))
+    return ManyBodyState(basis, amp)
+
+
+def expectation_oracle(state: ManyBodyState, creators, annihilators) -> float:
+    """Expectation of a normal-ordered product of ladder operators.
+
+    Evaluates ``<state| c^+_{creators[0]} ... c_{annihilators[-1]} |state>``
+    by direct operator application (cost grows with the Fock dimension;
+    intended for validation, not production).  The mode multisets must
+    match so the observable is Hermitian.
+    """
+    creators = tuple(int(m) for m in creators)
+    annihilators = tuple(int(m) for m in annihilators)
+    if sorted(creators) != sorted(annihilators):
+        raise ValueError("observable is not Hermitian: creator/annihilator modes differ")
+
+    stats = state.basis.stats
+    terms = {
+        occ: state.amp[i]
+        for i, occ in enumerate(state.basis.states)
+        if state.amp[i] != 0.0
+    }
+    # rightmost operator acts first
+    ops = [(apply_annihilation, m) for m in reversed(annihilators)]
+    ops += [(apply_creation, m) for m in reversed(creators)]
+    for apply_op, mode in ops:
+        new: dict[tuple[int, ...], complex] = {}
+        for occ, amp in terms.items():
+            res = apply_op(occ, mode, stats)
+            if res is None:
+                continue
+            factor, occ2 = res
+            new[occ2] = new.get(occ2, 0.0j) + factor * amp
+        terms = new
+
+    value = 0.0j
+    for occ, amp in terms.items():
+        value += np.conj(state.amp[state.basis.index(occ)]) * amp
+    if abs(value.imag) > 1e-12:
+        raise ArithmeticError(f"Hermitian expectation came out complex: {value}")
+    return float(value.real)
+
+
+def su_generators(dim: int) -> np.ndarray:
+    """The d^2-1 generalized Gell-Mann matrices, Pauli-normalized.
+
+    Symmetric, antisymmetric and diagonal families, scaled so that
+    Tr(g_a g_b) = d * delta_ab.  For dim=2 this is exactly the Pauli
+    triple; for dim=4 the normalization makes the fully factorized
+    three-party tensor norm of ``tensor_norm_squared`` come out at its
+    separable value.
+    """
+    if dim < 2:
+        raise ValueError("generators need dimension >= 2")
+    mats = []
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            mats.append(sym)
+            asym = np.zeros((dim, dim), dtype=complex)
+            asym[j, k] = -1.0j
+            asym[k, j] = 1.0j
+            mats.append(asym)
+    for l in range(1, dim):
+        diag = np.zeros((dim, dim), dtype=complex)
+        for j in range(l):
+            diag[j, j] = 1.0
+        diag[l, l] = -l
+        mats.append(math.sqrt(2.0 / (l * (l + 1))) * diag)
+    return math.sqrt(dim / 2.0) * np.array(mats)

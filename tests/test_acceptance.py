@@ -14,7 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bubble_sort_parity, tripartite_negativity_by_jacobi
+from oracles import (
+    bubble_sort_parity,
+    evolve_state_oracle,
+    expectation_oracle,
+    tripartite_negativity_by_jacobi,
+)
 from triqw import (
     ADJACENT_PARTITION,
     ALTERNATING_PARTITION,
@@ -30,8 +35,6 @@ from triqw import (
     entanglement_of_particles,
     enumerate_basis,
     evolve_state,
-    evolve_state_oracle,
-    expectation_oracle,
     geometric_measure,
     partial_transpose,
     phi_scan,

@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import evolve_state_oracle, many_body_hamiltonian
 from triqw import (
     LatticeParams,
     Statistics,
     enumerate_basis,
     evolve_state,
-    evolve_state_oracle,
-    many_body_hamiltonian,
     single_particle_propagator,
 )
 from triqw.dynamics import _sine_basis
@@ -115,6 +116,24 @@ class TestManyBodyHamiltonian:
 INIT = (1, 1, 1, 0, 0, 0)
 
 
+@st.composite
+def walk_cases(draw):
+    """A valid initial occupation of up to 3 particles on 1-6 modes, with
+    its statistics (fermionic occupations 0 or 1)."""
+    stats = draw(st.sampled_from([BOS, FER]))
+    n_modes = draw(st.integers(1, 6))
+    n_particles = draw(st.integers(0, min(3, n_modes) if stats.exclusive else 3))
+    sites = draw(
+        st.lists(
+            st.integers(0, n_modes - 1),
+            min_size=n_particles,
+            max_size=n_particles,
+            unique=stats.exclusive,
+        )
+    )
+    return tuple(sites.count(m) for m in range(n_modes)), stats
+
+
 class TestEvolution:
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_zero_time_returns_initial_ket(self, stats):
@@ -175,6 +194,15 @@ class TestEvolution:
             amp = evolve_state(INIT, params, tau, stats, basis=basis).amp
             energies.append(float(np.vdot(amp, ham @ amp).real))
         assert max(energies) - min(energies) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=walk_cases(), tau=st.floats(0.0, 20.0))
+    def test_matches_exponential_oracle_on_random_walks(self, case, tau):
+        init, stats = case
+        params = LatticeParams(len(init))
+        fast = evolve_state(init, params, tau, stats)
+        slow = evolve_state_oracle(init, params, tau, stats)
+        assert np.abs(fast.amp - slow.amp).max() <= 1e-10
 
     def test_oracle_dimension_guard(self):
         with pytest.raises(ValueError):

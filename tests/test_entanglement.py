@@ -14,6 +14,7 @@ from oracles import (
     negativity_by_jacobi,
     sector_maps,
     sector_matrix,
+    su_generators,
     tripartite_negativity_by_jacobi,
 )
 from triqw import (
@@ -39,7 +40,6 @@ from triqw import (
     phi_scan,
     phi_state,
     project_sector,
-    su_generators,
     tripartite_negativity,
     walk_scan,
 )
@@ -470,6 +470,12 @@ class TestEntanglementOfParticles:
         assert record is not None
         assert report.sector(np.array([1, 1, 1])) is record
         assert report.sector([3, 0, 0]) is None
+
+    def test_report_records_are_immutable(self):
+        report = entanglement_of_particles(phi_state(0.3, 0.7), ADJACENT_PARTITION)
+        record = report.sector((1, 1, 1))
+        with pytest.raises(AttributeError):
+            record.tpn = 0.0
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import monomial_expansion
+from oracles import apply_annihilation, monomial_expansion
 from triqw import (
     ADJACENT_PARTITION,
     WALK_INIT,
@@ -15,7 +15,6 @@ from triqw import (
     LatticeParams,
     ManyBodyState,
     Statistics,
-    apply_annihilation,
     apply_creation,
     build_monomial_state,
     enumerate_basis,

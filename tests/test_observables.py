@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import expectation_oracle
 from triqw import (
     LatticeParams,
     Statistics,
     chi_state,
     enumerate_basis,
     evolve_state,
-    expectation_oracle,
     interparticle_distance,
     single_particle_density,
     single_particle_propagator,
