@@ -10,26 +10,15 @@ from .dynamics import LatticeParams, evolve_state, single_particle_propagator
 from .entanglement import (
     EntanglementReport,
     Partition,
-    Sector,
-    SectorDecomposition,
     SectorState,
     bipartite_negativity,
     entanglement_of_particles,
     geometric_measure,
-    mode_qubit_tensor,
     partial_transpose,
     project_sector,
     tripartite_negativity,
 )
-from .fock import (
-    DensityMatrix,
-    FockBasis,
-    ManyBodyState,
-    Statistics,
-    apply_creation,
-    build_monomial_state,
-    enumerate_basis,
-)
+from .fock import DensityMatrix, FockBasis, ManyBodyState, Statistics, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
@@ -40,11 +29,9 @@ from .states import (
     ADJACENT_PARTITION,
     ALTERNATING_PARTITION,
     CHI_PARTITION,
-    PHI_KETS,
     WALK_INIT,
     chi_state,
     phi_state,
-    phi_weights,
 )
 
 __version__ = "0.1.0"
@@ -58,18 +45,13 @@ __all__ = [
     "FockBasis",
     "LatticeParams",
     "ManyBodyState",
-    "PHI_KETS",
     "Partition",
     "PhiScan",
-    "Sector",
-    "SectorDecomposition",
     "SectorState",
     "Statistics",
     "WALK_INIT",
     "WalkScan",
-    "apply_creation",
     "bipartite_negativity",
-    "build_monomial_state",
     "chi_report",
     "chi_state",
     "entanglement_of_particles",
@@ -77,11 +59,9 @@ __all__ = [
     "evolve_state",
     "geometric_measure",
     "interparticle_distance",
-    "mode_qubit_tensor",
     "partial_transpose",
     "phi_scan",
     "phi_state",
-    "phi_weights",
     "project_sector",
     "single_particle_density",
     "single_particle_propagator",

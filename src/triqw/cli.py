@@ -7,11 +7,13 @@ Subcommands::
     triqw walk       entanglement time series of the three-particle walk
     triqw snapshot   density / pair correlations at a single time
 
-Floating values in CSV output carry 12 significant digits; identical
-configurations produce byte-identical output.  Grid and time-series
-outputs are written as they are formatted (CSV a row at a time, JSON
-lists a block of items at a time), so no whole-output string or payload
-is held in memory.  Exit code 2 flags a configuration error.
+Each command hands one table (a header and its rows, plus a JSON record
+for ``chi`` and ``snapshot``) to ``_emit``, the only code that knows the
+formats.  Floating values in CSV output carry 12 significant digits;
+identical configurations produce byte-identical output.  Output is
+written as it is formatted (CSV a row at a time, JSON lists a block of
+items at a time), so no whole-output string is held in memory.  Exit
+code 2 flags a configuration error.
 """
 
 from __future__ import annotations
@@ -29,22 +31,6 @@ from .states import ADJACENT_PARTITION, CHI_PARTITION
 
 def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
-
-
-def _write(chunks, out: str | None) -> None:
-    """Write an iterable of text chunks to ``out`` or to stdout."""
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-
-
-def _csv(header: list[str], rows):
-    """Chunks of the CSV text: the header line, then one line per row."""
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(row) + "\n"
 
 
 # Items per encoder call of a streamed JSON list: one call per item costs
@@ -70,38 +56,41 @@ def _json_list(items):
     yield "[]\n" if head == "[" else "\n]\n"
 
 
+def _emit(args, header: list[str], rows, record=None) -> None:
+    """Write a command's table as ``--format`` asks, to ``--out`` or stdout.
+
+    CSV is the header, then a line per row, float cells through ``_fmt``.
+    JSON is ``record`` if given, else the rows as ``{column: cell}`` items.
+    """
+    if args.format == "csv":
+        chunks = (
+            ",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n"
+            for row in itertools.chain([header], rows)
+        )
+    elif record is not None:
+        chunks = [_json(record)]
+    else:
+        chunks = _json_list(dict(zip(header, row)) for row in rows)
+    if args.out is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+
+
 def cmd_chi(args) -> None:
     report = chi_report(Partition.parse(args.partition))
-    if args.format == "csv":
-        _write(
-            _csv(["eps_G", "eps_T"], [[_fmt(report["eps_G"]), _fmt(report["eps_T"])]]),
-            args.out,
-        )
-    else:
-        _write([_json(report)], args.out)
+    _emit(args, ["eps_G", "eps_T"], [(report["eps_G"], report["eps_T"])], report)
 
 
 def cmd_phi_scan(args) -> None:
     scan = phi_scan(args.alpha_steps, args.beta_steps, Partition.parse(args.partition))
-    if args.format == "json":
-        items = (
-            {
-                "alpha": alpha,
-                "beta": beta,
-                "eps_T": scan.eps_t[i, j],
-                "eps_G": scan.eps_g[i, j],
-            }
-            for i, alpha in enumerate(scan.alphas)
-            for j, beta in enumerate(scan.betas)
-        )
-        _write(_json_list(items), args.out)
-        return
     rows = (
-        [_fmt(alpha), _fmt(beta), _fmt(scan.eps_t[i, j]), _fmt(scan.eps_g[i, j])]
+        (alpha, beta, scan.eps_t[i, j], scan.eps_g[i, j])
         for i, alpha in enumerate(scan.alphas)
         for j, beta in enumerate(scan.betas)
     )
-    _write(_csv(["alpha", "beta", "eps_T", "eps_G"], rows), args.out)
+    _emit(args, ["alpha", "beta", "eps_T", "eps_G"], rows)
 
 
 def cmd_walk(args) -> None:
@@ -113,42 +102,22 @@ def cmd_walk(args) -> None:
         onsite=args.onsite,
     )
     header = ["tau", "P111", "N_A-BC", "N_B-AC", "N_C-AB", "TPN", "eps_T"]
-    columns = (
-        scan.taus,
-        scan.p111,
-        scan.n_a_bc,
-        scan.n_b_ac,
-        scan.n_c_ab,
-        scan.tpn,
-        scan.eps_t,
+    rows = zip(
+        scan.taus, scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn, scan.eps_t
     )
-    if args.format == "json":
-        items = (
-            {name: col[i] for name, col in zip(header, columns)}
-            for i in range(len(scan.taus))
-        )
-        _write(_json_list(items), args.out)
-        return
-    rows = (
-        [_fmt(col[i]) for col in columns] for i in range(len(scan.taus))
-    )
-    _write(_csv(header, rows), args.out)
+    _emit(args, header, rows)
 
 
 def cmd_snapshot(args) -> None:
     record = snapshot(Statistics.from_name(args.stats), args.tau, onsite=args.onsite)
-    if args.format == "csv":
-        rows = []
-        for r, value in enumerate(record["rho"], start=1):
-            rows.append(["rho", str(r), "", _fmt(value)])
-        for r, row in enumerate(record["Gamma"], start=1):
-            for s, value in enumerate(row, start=1):
-                rows.append(["Gamma", str(r), str(s), _fmt(value)])
-        for delta, value in enumerate(record["g"]):
-            rows.append(["g", str(delta), "", _fmt(value)])
-        _write(_csv(["quantity", "r", "s", "value"], rows), args.out)
-    else:
-        _write([_json(record)], args.out)
+    rows = [("rho", str(r), "", v) for r, v in enumerate(record["rho"], start=1)]
+    rows += [
+        ("Gamma", str(r), str(s), v)
+        for r, row in enumerate(record["Gamma"], start=1)
+        for s, v in enumerate(row, start=1)
+    ]
+    rows += [("g", str(delta), "", v) for delta, v in enumerate(record["g"])]
+    _emit(args, ["quantity", "r", "s", "value"], rows, record)
 
 
 def build_parser() -> argparse.ArgumentParser:

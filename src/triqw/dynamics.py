@@ -9,6 +9,7 @@ phase ``exp(-i*N*G*tau/T)`` to any N-particle state and defaults to 0.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ class LatticeParams:
     tunneling: float = 1.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n_modes", operator.index(self.n_modes))
+        except TypeError:
+            raise ValueError(f"mode count must be an integer, got {self.n_modes!r}") from None
         if self.n_modes < 1:
             raise ValueError("need at least one mode")
         if not (np.isfinite(self.onsite) and np.isfinite(self.tunneling)):

@@ -68,9 +68,12 @@ class Partition:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(m) for m in self.a))
-        object.__setattr__(self, "b", tuple(int(m) for m in self.b))
-        object.__setattr__(self, "c", tuple(int(m) for m in self.c))
+        try:
+            parties = [tuple(operator.index(m) for m in p) for p in self.parties]
+        except TypeError:
+            raise ValueError(f"mode indices must be integers, got {self.parties!r}") from None
+        for name, modes in zip("abc", parties):
+            object.__setattr__(self, name, modes)
         all_modes = self.a + self.b + self.c
         if not all_modes or min(all_modes) < 1:
             raise ValueError("mode indices must be positive")

@@ -84,9 +84,6 @@ class FockBasis:
         """Position of an occupation tuple in the enumeration."""
         return self._index[tuple(occ)]
 
-    def __contains__(self, occ) -> bool:
-        return tuple(occ) in self._index
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FockBasis)
@@ -134,21 +131,6 @@ def apply_creation(occ, mode: int, stats: Statistics):
         sign = -1.0 if sum(occ[:i]) % 2 else 1.0
         return sign, occ[:i] + (1,) + occ[i + 1 :]
     return math.sqrt(occ[i] + 1.0), occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
-
-
-@functools.lru_cache(maxsize=4096)
-def _creations(occ: tuple[int, ...], stats: Statistics):
-    """Every non-vanishing ``c_s^+ |occ>`` as ``(s - 1, factor, new_occ)``.
-
-    Ascending in ``s``.  The table depends only on the ket and the
-    statistics, so it is built once per pair and shared by every expansion.
-    """
-    table = []
-    for s in range(1, len(occ) + 1):
-        res = apply_creation(occ, s, stats)
-        if res is not None:
-            table.append((s - 1, *res))
-    return tuple(table)
 
 
 @dataclass
@@ -245,13 +227,14 @@ def _expansion_plan(basis: FockBasis, init: tuple[int, ...], zeros: bytes):
             new: dict[tuple[int, ...], int] = {}
             src, col, factors, dst = [], [], [], []
             for occ, j in terms.items():
-                for i, factor, occ2 in _creations(occ, basis.stats):
-                    if skip[row][i]:
+                for i in range(L):
+                    created = apply_creation(occ, i + 1, basis.stats)
+                    if created is None or skip[row][i]:
                         continue
                     src.append(j)
                     col.append(row * L + i)
-                    factors.append(factor)
-                    dst.append(new.setdefault(occ2, len(new)))
+                    factors.append(created[0])
+                    dst.append(new.setdefault(created[1], len(new)))
             arrays = (_read_only(src, np.intp), _read_only(col, np.intp))
             arrays += (_read_only(factors, float), _read_only(dst, np.intp))
             steps.append((*arrays, len(new)))

@@ -18,22 +18,26 @@ import numpy as np
 from .fock import Statistics
 
 
-def single_particle_density(prop, occupations) -> np.ndarray:
-    """Site-resolved particle density; identical for bosons and fermions."""
-    mat = np.asarray(prop, dtype=complex)
+def _occupations(mat: np.ndarray, occupations) -> np.ndarray:
+    """``occupations`` as floats, checked to be one non-negative integer per site."""
     n = np.asarray(occupations, dtype=float)
     if n.shape != (mat.shape[0],):
         raise ValueError("occupation vector does not match the lattice size")
-    return np.abs(mat) ** 2 @ n
+    if not (np.isfinite(n).all() and (n >= 0).all() and (n == np.floor(n)).all()):
+        raise ValueError("occupations must be non-negative integers")
+    return n
+
+
+def single_particle_density(prop, occupations) -> np.ndarray:
+    """Site-resolved particle density; identical for bosons and fermions."""
+    mat = np.asarray(prop, dtype=complex)
+    return np.abs(mat) ** 2 @ _occupations(mat, occupations)
 
 
 def two_particle_correlation(prop, occupations, stats: Statistics) -> np.ndarray:
     """Joint detection matrix Gamma[r, s] = <c_r^+ c_s^+ c_s c_r>."""
     mat = np.asarray(prop, dtype=complex)
-    n = np.asarray(occupations, dtype=float)
-    L = mat.shape[0]
-    if n.shape != (L,):
-        raise ValueError("occupation vector does not match the lattice size")
+    n = _occupations(mat, occupations)
     if stats.exclusive and np.any(n > 1):
         raise ValueError("fermionic occupations must be 0 or 1")
 

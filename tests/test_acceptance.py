@@ -28,7 +28,6 @@ from triqw import (
     LatticeParams,
     ManyBodyState,
     Partition,
-    SectorDecomposition,
     Statistics,
     bipartite_negativity,
     chi_state,
@@ -44,6 +43,7 @@ from triqw import (
     two_particle_correlation,
     walk_scan,
 )
+from triqw.entanglement import SectorDecomposition
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS

@@ -6,7 +6,9 @@ import pytest
 
 from triqw import (
     ADJACENT_PARTITION,
+    Partition,
     Statistics,
+    chi_report,
     entanglement_of_particles,
     geometric_measure,
     phi_scan,
@@ -207,7 +209,38 @@ class TestSnapshotCommand:
 
 def whole_csv(header, rows) -> str:
     """CSV text built in one piece, the reference for the streamed output."""
-    return "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+    lines = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
+    return "\n".join(",".join(line) for line in [header] + lines) + "\n"
+
+
+def expected_table(command):
+    """A command's argv, and the header, rows and JSON record (or None) it prints."""
+    if command == "chi":
+        report = chi_report(Partition.parse("3|1|2"))
+        rows = [(report["eps_G"], report["eps_T"])]
+        return ["chi", "--partition", "3|1|2"], ["eps_G", "eps_T"], rows, report
+    if command == "phi-scan":
+        scan = phi_scan(4, 3)
+        rows = [
+            (alpha, beta, scan.eps_t[i, j], scan.eps_g[i, j])
+            for i, alpha in enumerate(scan.alphas)
+            for j, beta in enumerate(scan.betas)
+        ]
+        argv = ["phi-scan", "--alpha-steps", "4", "--beta-steps", "3"]
+        return argv, ["alpha", "beta", "eps_T", "eps_G"], rows, None
+    if command == "walk":
+        scan = walk_scan(Statistics.BOSONS, ADJACENT_PARTITION, tau_max=3.0, steps=5)
+        header = ["tau", "P111", "N_A-BC", "N_B-AC", "N_C-AB", "TPN", "eps_T"]
+        columns = (scan.taus, scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn, scan.eps_t)
+        argv = ["walk", "--stats", "bosons", "--tau-max", "3", "--steps", "5"]
+        return argv, header, list(zip(*columns)), None
+    record = snapshot(Statistics.BOSONS, 2.5, onsite=1.0)
+    rows = [("rho", str(r + 1), "", v) for r, v in enumerate(record["rho"])]
+    for r, line in enumerate(record["Gamma"]):
+        rows += [("Gamma", str(r + 1), str(s + 1), v) for s, v in enumerate(line)]
+    rows += [("g", str(delta), "", v) for delta, v in enumerate(record["g"])]
+    argv = ["snapshot", "--stats", "bosons", "--tau", "2.5", "--onsite", "1"]
+    return argv, ["quantity", "r", "s", "value"], rows, record
 
 
 class TestStreamedOutput:
@@ -225,34 +258,16 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_phi_scan(self, capsys, tmp_path, fmt, to_file):
-        scan = phi_scan(4, 3)
-        grid = [
-            (alpha, beta, scan.eps_t[i, j], scan.eps_g[i, j])
-            for i, alpha in enumerate(scan.alphas)
-            for j, beta in enumerate(scan.betas)
-        ]
-        header = ["alpha", "beta", "eps_T", "eps_G"]
-        if fmt == "json":
-            expected = _json([dict(zip(header, point)) for point in grid])
-        else:
-            expected = whole_csv(header, grid)
-        argv = ["phi-scan", "--alpha-steps", "4", "--beta-steps", "3", "--format", fmt]
-        assert self.cli_text(capsys, tmp_path, to_file, argv) == expected
-
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_walk(self, capsys, tmp_path, fmt, to_file):
-        scan = walk_scan(Statistics.BOSONS, ADJACENT_PARTITION, tau_max=3.0, steps=5)
-        header = ["tau", "P111", "N_A-BC", "N_B-AC", "N_C-AB", "TPN", "eps_T"]
-        columns = (scan.taus, scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn, scan.eps_t)
-        rows = list(zip(*columns))
-        if fmt == "json":
-            expected = _json([dict(zip(header, row)) for row in rows])
-        else:
+    @pytest.mark.parametrize("command", ["chi", "phi-scan", "walk", "snapshot"])
+    def test_command(self, capsys, tmp_path, command, fmt, to_file):
+        argv, header, rows, record = expected_table(command)
+        if fmt == "csv":
             expected = whole_csv(header, rows)
-        argv = ["walk", "--stats", "bosons", "--tau-max", "3", "--steps", "5", "--format", fmt]
-        assert self.cli_text(capsys, tmp_path, to_file, argv) == expected
+        elif record is not None:
+            expected = _json(record)
+        else:
+            expected = _json([dict(zip(header, row)) for row in rows])
+        assert self.cli_text(capsys, tmp_path, to_file, argv + ["--format", fmt]) == expected
 
     @pytest.mark.parametrize("n", [0, 1, 2, _JSON_BLOCK, _JSON_BLOCK + 1, 2 * _JSON_BLOCK + 5])
     def test_json_list_matches_json_dumps(self, n):

@@ -216,6 +216,12 @@ def test_lattice_params_validation():
         LatticeParams(6, tunneling=0.0)
 
 
+@pytest.mark.parametrize("n_modes", [2.5, 6.0, "6", None])
+def test_lattice_params_rejects_non_integer_mode_count(n_modes):
+    with pytest.raises(ValueError, match="integer"):
+        LatticeParams(n_modes)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -27,7 +27,6 @@ from triqw import (
     LatticeParams,
     ManyBodyState,
     Partition,
-    SectorDecomposition,
     Statistics,
     bipartite_negativity,
     chi_state,
@@ -35,7 +34,6 @@ from triqw import (
     enumerate_basis,
     evolve_state,
     geometric_measure,
-    mode_qubit_tensor,
     partial_transpose,
     phi_scan,
     phi_state,
@@ -46,6 +44,7 @@ from triqw import (
 from triqw import entanglement
 from triqw.entanglement import (
     PROBABILITY_FLOOR,
+    SectorDecomposition,
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
@@ -53,6 +52,7 @@ from triqw.entanglement import (
     _sector_parts,
     _tensor_norm_constants,
     _transpose_index,
+    mode_qubit_tensor,
     tensor_norm_squared,
 )
 
@@ -95,6 +95,16 @@ class TestPartition:
     def test_cover_check(self):
         with pytest.raises(ValueError):
             Partition.parse("1,2|3,4|5,7").validate_cover(6)
+
+    @pytest.mark.parametrize("mode", [6.7, 6.0, "6"])
+    def test_rejects_non_integer_modes(self, mode):
+        with pytest.raises(ValueError, match="integers"):
+            Partition((1, 2), (3, 4), (5, mode))
+
+    def test_accepts_numpy_integers(self):
+        part = Partition(*np.arange(1, 7).reshape(3, 2))
+        assert part == ADJACENT_PARTITION
+        assert all(type(m) is int for m in part.a + part.b + part.c)
 
 
 @st.composite

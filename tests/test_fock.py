@@ -15,13 +15,11 @@ from triqw import (
     LatticeParams,
     ManyBodyState,
     Statistics,
-    apply_creation,
-    build_monomial_state,
     enumerate_basis,
     single_particle_propagator,
     walk_scan,
 )
-from triqw.fock import _expansion_plan
+from triqw.fock import _expansion_plan, apply_creation, build_monomial_state
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS

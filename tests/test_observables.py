@@ -11,6 +11,7 @@ from triqw import (
     interparticle_distance,
     single_particle_density,
     single_particle_propagator,
+    snapshot,
     two_particle_correlation,
 )
 
@@ -94,6 +95,26 @@ class TestPairCorrelation:
     def test_fermions_reject_multiple_occupancy(self):
         with pytest.raises(ValueError):
             two_particle_correlation(prop(1.0), (2, 1, 0, 0, 0, 0), FER)
+
+
+@pytest.mark.parametrize(
+    "init", [(-1, 4, 0, 0, 0, 0), (0.5, 1, 1.5, 0, 0, 0), (1, 1, 1, 0, 0, float("nan"))]
+)
+class TestOccupationGuard:
+    """Both observables reject occupations that are not non-negative integers."""
+
+    def test_density(self, init):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            single_particle_density(prop(1.0), init)
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    def test_pair_correlation(self, init, stats):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            two_particle_correlation(prop(1.0), init, stats)
+
+    def test_snapshot(self, init):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            snapshot(BOS, 1.0, init=init)
 
 
 class TestInterparticleDistance:
