@@ -11,14 +11,13 @@ Two quantities are computed for a three-party split of the modes:
   function and the scans; every partial-transpose negativity goes
   through ``_negativity``.  The sector decomposition depends only on the
   basis and the partition, so every caller shares one cached instance
-  per pair (``_decomposition``), with its kernel plan (``_kernel_plan``):
-  the sector gathers stacked by length, for one probability gather per
-  length, and, for each sector whose parties all have more than one
-  local state, the positions and signs of its three partial transposes
-  in the full matrix.  These compose the sector's gather with the cached
-  partial-transpose permutation of its dims (``_transpose_index``),
-  which ``partial_transpose`` also uses, so a call gathers the
-  transposes straight from its input.
+  per pair (``_decomposition``), with its kernel plan: the sector
+  gathers stacked by length, for one probability gather per length, and
+  the sectors whose parties all have more than one local state.  One
+  function (``_sector_blocks``) builds the normalised sector blocks for
+  both ``project_sector`` and the kernel, and every partial transpose
+  gathers through the cached permutation of its dims
+  (``_transpose_index``).
 * ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
   built from triple products of su(d) generators on the occupation-qubit
   isomorphism, minus its value on fully factorized kets.  Production
@@ -178,9 +177,22 @@ class SectorDecomposition:
             local, index, sign = zip(*sorted(grouped[counts]))
             dims = tuple(len(set(patterns)) for patterns in zip(*local))
             self.sectors[counts] = Sector(counts, dims, _read_only(index), _read_only(sign))
-        self._probability_groups, self._live = _kernel_plan(
-            list(self.sectors.values()), len(basis)
+        # The kernel plan of _eps_t_kernel, fixed by the basis and the
+        # partition.  The probability groups hold one (cols, index) pair per
+        # sector length d: the (m,) positions and the (m, d) stacked index
+        # arrays of every sector of that length, so one gather and one sum
+        # over the last axis give all their probabilities.  The live sectors
+        # are the (col, sector) pairs of every sector whose local dimensions
+        # all exceed one, the only ones with non-zero negativities.
+        sectors = list(self.sectors.values())
+        by_length: dict[int, list[int]] = {}
+        for k, sector in enumerate(sectors):
+            by_length.setdefault(len(sector.index), []).append(k)
+        self._probability_groups = tuple(
+            (_read_only(cols, np.intp), _read_only([sectors[k].index for k in cols], np.intp))
+            for cols in by_length.values()
         )
+        self._live = tuple((k, sec) for k, sec in enumerate(sectors) if min(sec.dims) > 1)
 
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
@@ -203,57 +215,13 @@ def _decomposition(basis: FockBasis, partition: Partition) -> SectorDecompositio
     return SectorDecomposition(basis, partition)
 
 
-class _LiveSector(NamedTuple):
-    """A sector whose every local dimension exceeds one, as gather tables.
-
-    ``col`` is its position in ``dec.sectors``.  Entry (p, i, j) of its
-    partial transpose over party p is entry ``pt_index[p, i, j]`` of the
-    flattened n x n density matrix times ``pt_sign[p, i, j]``, the product
-    of the two +-1 signs of the block entry it came from.
-    """
-
-    col: int
-    sector: Sector
-    pt_index: np.ndarray
-    pt_sign: np.ndarray
-
-
-def _kernel_plan(sectors: list[Sector], n: int):
-    """What ``_eps_t_kernel`` gathers, fixed by the basis and the partition.
-
-    ``sectors`` are a decomposition's, in order, on a basis of n states.
-    Returns the probability groups, one ``(cols, index)`` pair per sector
-    length d: the (m,) positions and the (m, d) stacked ``index`` arrays
-    of every sector of that length, so one gather and one sum over the
-    last axis give all their probabilities; and the ``_LiveSector`` of
-    every sector whose local dimensions all exceed one, the only ones
-    with non-zero negativities.  Every array is read-only.
-    """
-    by_length: dict[int, list[int]] = {}
-    live = []
-    for k, sector in enumerate(sectors):
-        by_length.setdefault(len(sector.index), []).append(k)
-        if min(sector.dims) > 1:
-            perm = _transpose_index(sector.dims)
-            shape = (len(sector.dims),) + (len(sector.index),) * 2
-            entries = np.add.outer(sector.index * n, sector.index).reshape(-1)
-            signs = np.outer(sector.sign, sector.sign).reshape(-1)
-            pt_index, pt_sign = entries[perm].reshape(shape), signs[perm].reshape(shape)
-            live.append(_LiveSector(k, sector, _read_only(pt_index), _read_only(pt_sign)))
-    groups = tuple(
-        (_read_only(cols, np.intp), _read_only([sectors[k].index for k in cols], np.intp))
-        for cols in by_length.values()
-    )
-    return groups, tuple(live)
-
-
 def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
     """Probability and normalized block of a batch-of-one stack in one sector."""
-    probs, parts = _sector_parts(sector, stack)
+    prob = _sector_probs(stack, sector.index)
     rho = None
-    if probs[0] > PROBABILITY_FLOOR:
-        rho = DensityMatrix(sector.dims, _normalized_blocks(parts, probs)[0])
-    return SectorState(sector.counts, sector.dims, float(probs[0]), rho)
+    if prob[0] > PROBABILITY_FLOOR:
+        rho = DensityMatrix(sector.dims, _sector_blocks(sector, stack, np.arange(1), prob)[0])
+    return SectorState(sector.counts, sector.dims, float(prob[0]), rho)
 
 
 def _sector_probs(states: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -268,24 +236,22 @@ def _sector_probs(states: np.ndarray, index: np.ndarray) -> np.ndarray:
     return (np.abs(states[:, index]) ** 2).sum(axis=-1)
 
 
-def _sector_parts(sector: Sector, states: np.ndarray):
-    """Sector probabilities (B,) and parts of a stack of states, gathered
-    through the sector's index and sign: the (B, d) local amplitudes of
-    (B, n) amplitude vectors, or the unnormalised (B, d, d) blocks of
-    (B, n, n) density matrices."""
+def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray:
+    """Trace-one (P, d, d) blocks in ``sector`` of the states ``rows`` (P,)
+    of a (B, n) amplitude stack or a (B, n, n) density stack, whose sector
+    probabilities ``prob`` (P,) must be non-zero.
+
+    The block of a density matrix is its gathered entries times the product
+    of the two +-1 signs, divided by the probability; a pure state's local
+    amplitudes times their signs are divided by the root of the probability,
+    and the block is their outer product.  ``project_sector`` and
+    ``_eps_t_kernel`` both build their blocks here, so their entries agree
+    bit for bit.
+    """
     if states.ndim == 3:
-        parts = states[:, sector.index[:, None], sector.index]
-        parts = parts * np.outer(sector.sign, sector.sign)
-    else:
-        parts = states[:, sector.index] * sector.sign
-    return _sector_probs(states, sector.index), parts
-
-
-def _normalized_blocks(parts: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Trace-one density blocks of sector parts with non-zero probabilities."""
-    if parts.ndim == 3:
-        return parts / probs[:, None, None]
-    normed = parts / np.sqrt(probs)[:, None]
+        parts = states[rows[:, None, None], sector.index[:, None], sector.index]
+        return parts * np.outer(sector.sign, sector.sign) / prob[:, None, None]
+    normed = states[rows[:, None], sector.index] * sector.sign / np.sqrt(prob)[:, None]
     return normed[:, :, None] * normed[:, None, :].conj()
 
 
@@ -347,9 +313,9 @@ def _transpose_index(dims: tuple[int, ...]) -> np.ndarray:
     Row ``p`` lists, for each entry of the flattened D x D partial
     transpose over party ``p`` (D = prod(dims)), the position of the
     entry of the flattened matrix it takes.  It is the one definition of
-    the partial transpose: ``partial_transpose`` gathers through it, and
-    the kernel plan composes it with each sector's gather.  Read-only,
-    because rows are shared between callers.
+    the partial transpose: ``partial_transpose`` and ``_eps_t_kernel``
+    gather through it.  Read-only, because rows are shared between
+    callers.
     """
     size = math.prod(dims)
     grid = np.arange(size * size).reshape(dims + dims)
@@ -421,14 +387,14 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     * ``eps_t`` (B,), the probability-weighted sum of the TPN.
 
     Nothing loops over every sector: the decomposition's kernel plan
-    (``_kernel_plan``) fixes the gathers.  One gather and one sum over the
-    last axis per sector length fill every column of ``probs``; a sector
-    with a one-dimensional party needs nothing more.  Each live sector
-    (every local dimension > 1; for three particles at most (1, 1, 1))
-    gathers the three partial transposes of up to _EIGENSOLVE_CHUNK of
-    its states above the floor straight from the input
-    (``_live_transposes``) and sends them to one eigensolve.  On a batch
-    of one, both give bit for bit what ``project_sector`` and
+    fixes the gathers.  One gather and one sum over the last axis per
+    sector length fill every column of ``probs``; a sector with a
+    one-dimensional party needs nothing more.  Each live sector (every
+    local dimension > 1; for three particles at most (1, 1, 1)) builds
+    the blocks of up to _EIGENSOLVE_CHUNK of its states above the floor
+    (``_sector_blocks``), gathers their three partial transposes through
+    ``_transpose_index`` and sends them to one eigensolve.  On a batch of
+    one, both give bit for bit what ``project_sector`` and
     ``bipartite_negativity`` give on the same sector; numpy may order the
     sums of a longer batch differently.
     """
@@ -437,34 +403,16 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
         probs[:, cols] = _sector_probs(states, index)
     probs[probs <= PROBABILITY_FLOOR] = 0.0
     negs = np.zeros(probs.shape + (4,))
-    for live in dec._live:
-        rows = np.flatnonzero(probs[:, live.col])
+    for col, sector in dec._live:
+        rows = np.flatnonzero(probs[:, col])
         for lo in range(0, len(rows), _EIGENSOLVE_CHUNK):
             b = rows[lo : lo + _EIGENSOLVE_CHUNK]
-            cuts = _negativity(_live_transposes(live, states, b, probs[b, live.col]))
-            negs[b, live.col, :3] = cuts
-            negs[b, live.col, 3] = np.cbrt(cuts.prod(axis=-1))
+            blocks = _sector_blocks(sector, states, b, probs[b, col])
+            transposes = blocks.reshape(len(b), -1)[:, _transpose_index(sector.dims)]
+            cuts = _negativity(transposes.reshape((len(b), 3) + blocks.shape[1:]))
+            negs[b, col, :3] = cuts
+            negs[b, col, 3] = np.cbrt(cuts.prod(axis=-1))
     return probs, negs, (probs * negs[..., 3]).sum(axis=1)
-
-
-def _live_transposes(live: _LiveSector, states: np.ndarray, b, prob) -> np.ndarray:
-    """The (P, 3, d, d) partial transposes of the normalised blocks of
-    states ``b`` (P,) of the stack in a live sector, whose probabilities
-    are ``prob`` (P,).
-
-    A density matrix's transposes are one gather through ``pt_index``; a
-    pure state's normalised outer-product blocks are gathered through
-    ``_transpose_index``.  Each entry is the product or quotient of the
-    same operands as in ``project_sector``'s block, so the entries are bit
-    for bit those of ``partial_transpose`` of that block.
-    """
-    if states.ndim == 3:
-        parts = states.reshape(len(states), -1)[b[:, None, None, None], live.pt_index]
-        return parts * live.pt_sign / prob[:, None, None, None]
-    sector = live.sector
-    blocks = _normalized_blocks(states[b[:, None], sector.index] * sector.sign, prob)
-    transposes = blocks.reshape(len(b), -1)[:, _transpose_index(sector.dims)]
-    return transposes.reshape((len(b),) + live.pt_index.shape)
 
 
 class SectorRecord(NamedTuple):

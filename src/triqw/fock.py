@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +61,12 @@ class FockBasis:
     """
 
     def __init__(self, n_particles: int, n_modes: int, stats: Statistics):
+        try:
+            n_particles, n_modes = operator.index(n_particles), operator.index(n_modes)
+        except TypeError:
+            raise ValueError(
+                f"particle and mode counts must be integers, got {n_particles!r} and {n_modes!r}"
+            ) from None
         if n_particles < 0:
             raise ValueError("particle number must be non-negative")
         if n_modes < 1:
@@ -274,6 +281,12 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
     * ``np.bincount`` adds each amplitude's terms in the loop's order.
     """
     init = tuple(init)
+    try:
+        valid = all(operator.index(n) >= 0 for n in init)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"initial occupations must be non-negative integers, got {init!r}")
     if len(init) != basis.n_modes or sum(init) != basis.n_particles:
         raise ValueError("initial occupation does not match the basis")
     if basis.stats.exclusive and any(n > 1 for n in init):

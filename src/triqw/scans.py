@@ -79,23 +79,17 @@ def phi_scan(
     alphas = np.linspace(0.0, math.pi, alpha_steps)
     betas = np.linspace(0.0, math.pi, beta_steps)
 
-    kets = np.zeros((4, len(basis)), dtype=complex)
-    for i, ket in enumerate(PHI_KETS):
-        kets[i, basis.index(ket)] = 1.0
+    kets = [ManyBodyState.basis_ket(basis, ket) for ket in PHI_KETS]
+    amps = np.stack([ket.amp for ket in kets])
     dec = _decomposition(basis, partition)
-    ket_tensors = np.stack(
-        [
-            mode_qubit_tensor(ManyBodyState(basis, kets[i]), partition)
-            for i in range(4)
-        ]
-    )
+    ket_tensors = np.stack([mode_qubit_tensor(ket, partition) for ket in kets])
 
     eps_t = np.zeros((alpha_steps, beta_steps))
     eps_g = np.zeros((alpha_steps, beta_steps))
     for i, alpha in enumerate(alphas):
         weights = np.stack([phi_weights(alpha, beta) for beta in betas])  # (B, 4)
         eps_g[i] = _geometric_kernel(np.einsum("gm,mabc->gabc", weights, ket_tensors))
-        eps_t[i] = _eps_t_kernel(dec, weights @ kets)[2]
+        eps_t[i] = _eps_t_kernel(dec, weights @ amps)[2]
     return PhiScan(alphas, betas, eps_t, eps_g)
 
 

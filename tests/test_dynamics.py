@@ -13,6 +13,7 @@ from triqw import (
     enumerate_basis,
     evolve_state,
     single_particle_propagator,
+    walk_scan,
 )
 from triqw.dynamics import _sine_basis
 
@@ -214,6 +215,14 @@ def test_lattice_params_validation():
         LatticeParams(0)
     with pytest.raises(ValueError):
         LatticeParams(6, tunneling=0.0)
+
+
+@pytest.mark.parametrize("init", [(-1, 4, 0, 0, 0, 0), (1.5, 1.5, 0, 0, 0, 0)])
+def test_evolve_state_and_walk_scan_reject_bad_init(init):
+    with pytest.raises(ValueError, match="integers"):
+        evolve_state(init, LatticeParams(6), 1.0, BOS)
+    with pytest.raises(ValueError, match="integers"):
+        walk_scan(BOS, init=init, steps=2)
 
 
 @pytest.mark.parametrize("n_modes", [2.5, 6.0, "6", None])

@@ -48,8 +48,6 @@ from triqw.entanglement import (
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
-    _live_transposes,
-    _sector_parts,
     _tensor_norm_constants,
     _transpose_index,
     mode_qubit_tensor,
@@ -513,14 +511,17 @@ def random_stack(basis, seed, batch, rank):
 class TestEpsTKernel:
     """The batched eps_T kernel against the Jacobi oracle, per sector."""
 
+    # rank is a parameter, not drawn, so pure and density input both reach
+    # the block gather that project_sector and the kernel share
+    @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("stats", [BOS, FER])
     @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
     @settings(max_examples=8, deadline=None)
-    @given(case=state_stacks())
-    def test_sector_negativities_match_jacobi_oracle(self, stats, partition, case):
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3))
+    def test_sector_negativities_match_jacobi_oracle(self, stats, partition, rank, seed, batch):
         basis = enumerate_basis(3, 6, stats)
         dec = SectorDecomposition(basis, partition)
-        states = random_stack(basis, *case)
+        states = random_stack(basis, seed, batch, rank)
         probs, negs, eps_t = _eps_t_kernel(dec, states)
         dens = states if states.ndim == 3 else np.einsum("bi,bj->bij", states, states.conj())
         maps = sector_maps(basis, partition)
@@ -553,17 +554,20 @@ class TestEpsTKernel:
     @settings(max_examples=40, deadline=None)
     @given(
         stats=st.sampled_from([BOS, FER]),
+        n_particles=st.sampled_from([3, 4]),
         modes=st.permutations(range(1, 7)),
         case=state_stacks(),
     )
-    def test_kernel_is_bit_identical_to_per_sector_path(self, stats, modes, case):
+    def test_kernel_is_bit_identical_to_per_sector_path(self, stats, n_particles, modes, case):
         # Pins the sector probabilities, which skip the signs, and the one
         # stacked eigensolve to the trace of the signed block and to the
         # per-cut negativity.  Each state goes in as a batch of one, as in
         # entanglement_of_particles: numpy may order the sums of a longer
         # batch differently, so bits agree only between equal batch sizes.
+        # Four bosons have three live sectors with dims (3, 2, 2) and its
+        # permutations, so the kernel is not tied to the (1, 1, 1) sector.
         partition = Partition(modes[:2], modes[2:4], modes[4:])
-        basis = enumerate_basis(3, 6, stats)
+        basis = enumerate_basis(n_particles, 6, stats)
         dec = _decomposition(basis, partition)
         for item in random_stack(basis, *case):
             probs, negs, _ = _eps_t_kernel(dec, item[None])
@@ -572,10 +576,12 @@ class TestEpsTKernel:
             else:
                 state = DensityMatrix((len(basis),), item)
             for k, (counts, sector) in enumerate(dec.sectors.items()):
-                signed = _sector_parts(sector, item[None])[1]
                 if item.ndim == 1:
+                    signed = item[None, sector.index] * sector.sign
                     trace = np.sum(np.abs(signed) ** 2, axis=1)[0]
                 else:
+                    signs = np.outer(sector.sign, sector.sign)
+                    signed = item[None, sector.index[:, None], sector.index] * signs
                     trace = np.trace(signed, axis1=1, axis2=2).real[0]
                 sec = project_sector(state, partition, counts, basis=basis)
                 assert np.float64(sec.prob).tobytes() == trace.tobytes()
@@ -589,38 +595,6 @@ class TestEpsTKernel:
                 for party in range(3):
                     expected = bipartite_negativity(sec.rho, party)
                     assert negs[0, k, party].tobytes() == np.float64(expected).tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        stats=st.sampled_from([BOS, FER]),
-        n_particles=st.sampled_from([3, 4]),
-        modes=st.permutations(range(1, 7)),
-        case=state_stacks(),
-    )
-    def test_plan_transposes_are_bit_identical_to_partial_transpose(
-        self, stats, n_particles, modes, case
-    ):
-        # Four bosons have three live sectors with dims (3, 2, 2) and its
-        # permutations, so the plan is not tied to the (1, 1, 1) sector.
-        partition = Partition(modes[:2], modes[2:4], modes[4:])
-        basis = enumerate_basis(n_particles, 6, stats)
-        dec = _decomposition(basis, partition)
-        stack = random_stack(basis, *case)
-        for live in dec._live:
-            assert list(dec.sectors.values())[live.col] is live.sector
-            for b, item in enumerate(stack):
-                if item.ndim == 1:
-                    state = ManyBodyState(basis, item)
-                else:
-                    state = DensityMatrix((len(basis),), item)
-                sec = project_sector(state, partition, live.sector.counts, basis=basis)
-                if sec.rho is None:
-                    continue
-                pts = _live_transposes(live, stack, np.array([b]), np.array([sec.prob]))
-                assert pts.shape == (1, 3) + sec.rho.mat.shape
-                for party in range(3):
-                    expected = partial_transpose(sec.rho, party).mat
-                    assert pts[0, party].tobytes() == expected.tobytes()
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -646,16 +620,17 @@ class TestEpsTKernel:
     def test_plan_arrays_are_read_only(self, stats):
         dec = _decomposition(enumerate_basis(4, 6, stats), ALTERNATING_PARTITION)
         arrays = [a for group in dec._probability_groups for a in group]
-        arrays += [a for live in dec._live for a in (live.pt_index, live.pt_sign)]
-        arrays += [_transpose_index(live.sector.dims) for live in dec._live]
+        arrays += [_transpose_index(sector.dims) for _, sector in dec._live]
         assert arrays
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
         covered = np.concatenate([cols for cols, _ in dec._probability_groups])
         assert sorted(covered.tolist()) == list(range(len(dec.sectors)))
-        live = [k for k, sec in enumerate(dec.sectors.values()) if min(sec.dims) > 1]
-        assert [entry.col for entry in dec._live] == live
+        sectors = list(dec.sectors.values())
+        live = [k for k, sec in enumerate(sectors) if min(sec.dims) > 1]
+        assert [col for col, _ in dec._live] == live
+        assert all(sector is sectors[col] for col, sector in dec._live)
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_project_state_and_density_match_kernel(self, stats):

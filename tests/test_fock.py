@@ -89,6 +89,16 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_basis(2, 0, BOS)
 
+    @pytest.mark.parametrize("counts", [(2.5, 3), (3, 2.0), ("3", 6), (3, None)])
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be integers"):
+            enumerate_basis(*counts, BOS)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        basis = enumerate_basis(np.int64(3), np.int64(6), FER)
+        assert type(basis.n_particles) is int and type(basis.n_modes) is int
+        assert basis == enumerate_basis(3, 6, FER)
+
     def test_vacuum_basis(self):
         basis = enumerate_basis(0, 4, FER)
         assert basis.states == ((0, 0, 0, 0),)
@@ -203,6 +213,16 @@ class TestMonomialState:
             build_monomial_state(basis, np.eye(3), (1, 1, 1))
         with pytest.raises(ValueError):
             build_monomial_state(basis, np.eye(3), (2, 0, 0))
+
+    @pytest.mark.parametrize(
+        "init", [(-1, 4, 0, 0, 0, 0), (1.5, 1.5, 0, 0, 0, 0), (1, 1, 1, 0, 0, None)]
+    )
+    def test_rejects_non_integer_or_negative_init(self, init):
+        # the first sums to N=3, the second to 3.0: both reach the plan
+        # unless the entries themselves are checked
+        basis = enumerate_basis(3, 6, BOS)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            build_monomial_state(basis, np.eye(6), init)
 
 
 @st.composite
