@@ -830,6 +830,28 @@ class TestGeometricMeasure:
         with pytest.raises(ValueError):
             geometric_measure(state, CHI_PARTITION)
 
+    def test_multiple_occupancy_message(self):
+        basis = enumerate_basis(2, 3, BOS)
+        state = ManyBodyState.basis_ket(basis, (2, 0, 0))
+        with pytest.raises(ValueError, match="occupations of at most one"):
+            geometric_measure(state, Partition.parse("1|2|3"))
+
+    def test_singly_occupied_boson_ket_is_separable(self):
+        # kets with a doubly occupied mode carry no amplitude, so the
+        # mapping accepts the state
+        basis = enumerate_basis(2, 3, BOS)
+        state = ManyBodyState.basis_ket(basis, (1, 1, 0))
+        assert geometric_measure(state, Partition.parse("1|2|3")) == 0.0
+
+    @pytest.mark.parametrize(
+        "n_modes, text", [(9, "1,2,3|4,5,6|7,8,9"), (4, "1,2|3|4")]
+    )
+    def test_party_size_message(self, n_modes, text):
+        basis = enumerate_basis(3, n_modes, FER)
+        state = ManyBodyState.basis_ket(basis, (1, 1, 1) + (0,) * (n_modes - 3))
+        with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
+            geometric_measure(state, Partition.parse(text))
+
 
 # (prefactor inside the root, separable norm) of the geometric measure for
 # one-mode (d=2) and two-mode (d=4) parties, written out as literals
