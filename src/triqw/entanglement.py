@@ -477,36 +477,35 @@ def entanglement_of_particles(
 # geometric mode-entanglement measure
 
 
+@functools.lru_cache(maxsize=64)
+def _qubit_index(basis: FockBasis, partition: Partition) -> np.ndarray:
+    """Read-only flat position of every basis ket in the (d, d, d)
+    occupation-qubit tensor, or -1 for a ket with a doubly occupied mode.
+
+    Each mode is a qubit (sign-free under the canonical ket convention):
+    the parties' occupations, read in each party's mode order, form one
+    binary number.  Holds the one ``eps_G`` partition check.
+    """
+    if {len(p) for p in partition.parties} not in ({1}, {2}):
+        raise ValueError("geometric measure supports equal party sizes of 1 or 2 modes")
+    partition.validate_cover(basis.n_modes)
+    occ = np.array(basis.states)[:, [m - 1 for party in partition.parties for m in party]]
+    flat = occ @ (1 << np.arange(occ.shape[1])[::-1])
+    return _read_only(np.where((occ > 1).any(axis=1), -1, flat), np.intp)
+
+
 def mode_qubit_tensor(state: ManyBodyState, partition: Partition) -> np.ndarray:
     """Map a hard-core state onto the three-party occupation-qubit tensor.
 
-    Each mode becomes a qubit (sign-free under the canonical ket
-    convention); the qubits of one party combine in the party's mode
-    order into a 2^m-level subsystem.  Fails if any ket with more than
-    one particle in a mode carries amplitude.
+    Scatters the amplitudes through the cached ``_qubit_index``, so each
+    party of m modes is a 2^m-level subsystem.  Fails if any ket with
+    more than one particle in a mode carries amplitude.
     """
-    partition.validate_cover(state.basis.n_modes)
-    sizes = {len(p) for p in partition.parties}
-    if len(sizes) != 1:
-        raise ValueError("parties must have equal mode counts")
-    m = sizes.pop()
-    d = 2**m
-    psi = np.zeros((d, d, d), dtype=complex)
-    for gi, occ in enumerate(state.basis.states):
-        amp = state.amp[gi]
-        if amp == 0.0:
-            continue
-        if any(n > 1 for n in occ):
-            raise ValueError(
-                "occupation-qubit mapping needs occupations of at most one"
-            )
-        idx = []
-        for party in partition.parties:
-            value = 0
-            for mode in party:
-                value = 2 * value + occ[mode - 1]
-            idx.append(value)
-        psi[tuple(idx)] += amp
+    index = _qubit_index(state.basis, partition)
+    if state.amp[index < 0].any():
+        raise ValueError("occupation-qubit mapping needs occupations of at most one")
+    psi = np.zeros((2 ** len(partition.a),) * 3, dtype=complex)
+    psi.flat[index[index >= 0]] = state.amp[index >= 0]
     return psi
 
 
@@ -559,12 +558,6 @@ def _geometric_kernel(psis: np.ndarray) -> np.ndarray:
     return np.sqrt(prefactor * total) - sep_norm
 
 
-def _check_geometric_partition(partition: Partition) -> None:
-    m = len(partition.a)
-    if m not in (1, 2) or {len(p) for p in partition.parties} != {m}:
-        raise ValueError("geometric measure supports equal party sizes of 1 or 2 modes")
-
-
 def geometric_measure(state: ManyBodyState, partition: Partition) -> float:
     """Mode-entanglement tensor norm minus its fully-separable value.
 
@@ -574,5 +567,4 @@ def geometric_measure(state: ManyBodyState, partition: Partition) -> float:
     evaluated from the marginal purities by ``_geometric_kernel`` as a
     batch of one.
     """
-    _check_geometric_partition(partition)
     return float(_geometric_kernel(mode_qubit_tensor(state, partition)))

@@ -1,11 +1,11 @@
 """Scenario computations behind the command-line runner.
 
-Each scan returns plain arrays; serialization stays in the CLI.  The
-scans call the same batched kernels as the per-state measures: the
-phase-grid scan passes one grid row at a time to the ``eps_T`` and
-``eps_G`` kernels, and the walk passes all its time samples to the
-``eps_T`` kernel in one call.  Both take the shared sector
-decomposition of their basis and partition.
+Each scan returns plain arrays; serialization stays in the CLI.  The scans
+call the same batched kernels as the per-state measures: the phase-grid
+scan passes each alpha row (one ``phi_weights`` call, scattered into
+tensors through ``_qubit_index``) to the ``eps_T`` and ``eps_G`` kernels,
+and the walk passes all its time samples to the ``eps_T`` kernel in one
+call.  Both take the shared sector decomposition of their basis and partition.
 Sample counts are capped (MAX_GRID_STEPS per phase axis,
 MAX_TIME_SAMPLES per walk) because memory grows with them; larger
 requests are rejected before anything is allocated.
@@ -14,6 +14,7 @@ requests are rejected before anything is allocated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,12 @@ from .entanglement import (
     Partition,
     entanglement_of_particles,
     geometric_measure,
-    mode_qubit_tensor,
-    _check_geometric_partition,
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
+    _qubit_index,
 )
-from .fock import ManyBodyState, Statistics, enumerate_basis
+from .fock import Statistics, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
@@ -47,6 +47,15 @@ from .states import (
 
 MAX_GRID_STEPS = 501
 MAX_TIME_SAMPLES = 10_000
+
+
+def _sample_count(count, limit: int, what: str) -> int:
+    try:
+        if 2 <= operator.index(count) <= limit:
+            return operator.index(count)
+    except TypeError:
+        pass
+    raise ValueError(f"need between 2 and {limit} {what}, got {count!r}")
 
 
 def chi_report(partition: Partition = CHI_PARTITION) -> dict[str, float]:
@@ -72,24 +81,24 @@ def phi_scan(
     partition: Partition = ADJACENT_PARTITION,
 ) -> PhiScan:
     """Both measures for the two-phase fermion family on a phase grid."""
-    if not (2 <= alpha_steps <= MAX_GRID_STEPS and 2 <= beta_steps <= MAX_GRID_STEPS):
-        raise ValueError(f"need between 2 and {MAX_GRID_STEPS} grid steps per axis")
-    _check_geometric_partition(partition)
+    alpha_steps = _sample_count(alpha_steps, MAX_GRID_STEPS, "grid steps per axis")
+    beta_steps = _sample_count(beta_steps, MAX_GRID_STEPS, "grid steps per axis")
     basis = phi_basis()
+    index = _qubit_index(basis, partition)
+    dec = _decomposition(basis, partition)
+    kets = [basis.index(ket) for ket in PHI_KETS]
     alphas = np.linspace(0.0, math.pi, alpha_steps)
     betas = np.linspace(0.0, math.pi, beta_steps)
-
-    kets = [ManyBodyState.basis_ket(basis, ket) for ket in PHI_KETS]
-    amps = np.stack([ket.amp for ket in kets])
-    dec = _decomposition(basis, partition)
-    ket_tensors = np.stack([mode_qubit_tensor(ket, partition) for ket in kets])
 
     eps_t = np.zeros((alpha_steps, beta_steps))
     eps_g = np.zeros((alpha_steps, beta_steps))
     for i, alpha in enumerate(alphas):
-        weights = np.stack([phi_weights(alpha, beta) for beta in betas])  # (B, 4)
-        eps_g[i] = _geometric_kernel(np.einsum("gm,mabc->gabc", weights, ket_tensors))
-        eps_t[i] = _eps_t_kernel(dec, weights @ amps)[2]
+        amps = np.zeros((beta_steps, len(basis)), dtype=complex)
+        amps[:, kets] = phi_weights(alpha, betas)
+        tensors = np.zeros((beta_steps,) + (2 ** len(partition.a),) * 3, dtype=complex)
+        tensors.reshape(beta_steps, -1)[:, index] = amps
+        eps_g[i] = _geometric_kernel(tensors)
+        eps_t[i] = _eps_t_kernel(dec, amps)[2]
     return PhiScan(alphas, betas, eps_t, eps_g)
 
 
@@ -120,8 +129,7 @@ def walk_scan(
     one-versus-rest negativities, their geometric mean and the
     sector-averaged total.
     """
-    if not 2 <= steps <= MAX_TIME_SAMPLES:
-        raise ValueError(f"need between 2 and {MAX_TIME_SAMPLES} time samples")
+    steps = _sample_count(steps, MAX_TIME_SAMPLES, "time samples")
     if not math.isfinite(tau_max):
         raise ValueError("tau_max must be finite")
     init = tuple(init)

@@ -41,13 +41,13 @@ def phi_basis() -> FockBasis:
     return enumerate_basis(3, 6, Statistics.FERMIONS)
 
 
-def phi_weights(alpha: float, beta: float) -> np.ndarray:
-    """Coefficients of the four PHI_KETS for phases (alpha, beta)."""
-    s = math.sin(alpha) / math.sqrt(2.0)
-    return np.array(
-        [math.cos(alpha) * math.cos(beta), math.cos(alpha) * math.sin(beta), s, s],
-        dtype=complex,
-    )
+def phi_weights(alpha: float, beta) -> np.ndarray:
+    """Coefficients of the four PHI_KETS for phase alpha and every phase in
+    ``beta`` (a number or an array), with shape ``np.shape(beta) + (4,)``."""
+    beta = np.asarray(beta, dtype=float)
+    s = np.full(beta.shape, math.sin(alpha) / math.sqrt(2.0))
+    cos = math.cos(alpha)
+    return np.stack([cos * np.cos(beta), cos * np.sin(beta), s, s], axis=-1).astype(complex)
 
 
 def phi_state(alpha: float, beta: float, basis: FockBasis | None = None) -> ManyBodyState:
@@ -59,6 +59,5 @@ def phi_state(alpha: float, beta: float, basis: FockBasis | None = None) -> Many
     """
     basis = basis or phi_basis()
     amp = np.zeros(len(basis), dtype=complex)
-    for weight, ket in zip(phi_weights(alpha, beta), PHI_KETS):
-        amp[basis.index(ket)] += weight
+    amp[[basis.index(ket) for ket in PHI_KETS]] = phi_weights(alpha, beta)
     return ManyBodyState(basis, amp)

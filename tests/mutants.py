@@ -1,0 +1,152 @@
+"""Mutation check: how many tier-1 tests kill each one-line mutant of ``src/``.
+
+Copies the checkout (without ``.git`` and caches) to a temporary
+directory and runs tier-1 there, once unmutated to learn which tests fail
+anyway, then once per mutant with its one-line change applied.  A mutant's
+text must occur exactly once in its file.  The count printed for a mutant
+is the number of tests that fail under it but pass unmutated.
+
+pytest runs from the copy's root: ``pyproject.toml`` puts that root's
+``src`` first on ``sys.path``, so a copy imported only through
+``PYTHONPATH`` would test the unmutated checkout instead.  The copy's
+``conftest.py`` loads a hypothesis profile without the shrink phase and
+without the example database: a failing property fails either way, but
+shrinking it can take minutes, and a database shared between runs would
+make one mutant's result depend on the mutants run before it.
+
+Not collected by pytest (the name does not match ``test_*.py``) and not
+part of tier-1; a run takes about 20 s per mutant on two cores.
+
+Usage: python tests/mutants.py [--checkout DIR]
+Exit code 0 if every mutant is killed, 1 if one survives, 2 if a mutant's
+text does not match exactly once.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (name, file under src/triqw, original text, mutated text)
+MUTANTS = [
+    (
+        "onsite-phase-sign",
+        "dynamics.py",
+        "np.exp(-1.0j * params.onsite * tau / params.tunneling)",
+        "np.exp(1.0j * params.onsite * tau / params.tunneling)",
+    ),
+    ("boson-bunching-dropped", "observables.py", "bunching = n * (n - 1.0)", "bunching = 0.0 * n"),
+    (
+        "probability-floor-1e-8",
+        "entanglement.py",
+        "PROBABILITY_FLOOR = 1e-14",
+        "PROBABILITY_FLOOR = 1e-8",
+    ),
+    (
+        "density-block-signs-dropped",
+        "entanglement.py",
+        "return parts * np.outer(sector.sign, sector.sign) / prob[:, None, None]",
+        "return parts / prob[:, None, None]",
+    ),
+    (
+        "pure-block-signs-dropped",
+        "entanglement.py",
+        "sector.index] * sector.sign / np.sqrt(prob)",
+        "sector.index] / np.sqrt(prob)",
+    ),
+    (
+        "tpn-arithmetic-mean",
+        "entanglement.py",
+        "negs[b, col, 3] = np.cbrt(cuts.prod(axis=-1))",
+        "negs[b, col, 3] = cuts.mean(axis=-1)",
+    ),
+    (
+        "fermion-creation-sign-dropped",
+        "fock.py",
+        "sign = -1.0 if sum(occ[:i]) % 2 else 1.0",
+        "sign = 1.0",
+    ),
+    ("eps-g-norm-term", "entanglement.py", "(dim**3 - 1) * norm**2", "dim**3 * norm**2"),
+    (
+        "eps-g-purity-weight",
+        "entanglement.py",
+        "dim * (dim - 1) * purities",
+        "dim * dim * purities",
+    ),
+    (
+        "eps-g-marginal-conjugate-dropped",
+        "entanglement.py",
+        "np.einsum(spec, psis, psis.conj())",
+        "np.einsum(spec, psis, psis)",
+    ),
+    (
+        "phi-weight-root-two",
+        "states.py",
+        "math.sin(alpha) / math.sqrt(2.0)",
+        "math.sin(alpha) / 2.0",
+    ),
+]
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+PROFILE = """
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.generate], database=None)
+settings.load_profile("mutants")
+"""
+
+
+def failing_tests(root: Path) -> set[str]:
+    """Ids of the tier-1 tests that fail or error when run from ``root``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=1800,
+    )
+    return {
+        line.split(" ", 1)[1].split(" - ", 1)[0]
+        for line in result.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="triqw-mutants-") as tmp:
+        root = Path(tmp) / "checkout"
+        shutil.copytree(args.checkout, root, ignore=IGNORE)
+        with open(root / "tests" / "conftest.py", "a") as conftest:
+            conftest.write(PROFILE)
+        for name, file, old, new in MUTANTS:
+            count = (root / "src" / "triqw" / file).read_text().count(old)
+            if count != 1:
+                print(f"error: mutant {name}: text occurs {count} times in {file}")
+                return 2
+        baseline = failing_tests(root)
+        print(f"unmutated: {len(baseline)} failing tests", flush=True)
+        print(f"{'mutant':36} {'file':16} kills")
+        survivors = 0
+        for name, file, old, new in MUTANTS:
+            path = root / "src" / "triqw" / file
+            original = path.read_text()
+            path.write_text(original.replace(old, new))
+            try:
+                kills = len(failing_tests(root) - baseline)
+            finally:
+                path.write_text(original)
+            survivors += kills == 0
+            print(f"{name:36} {file:16} {kills}", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

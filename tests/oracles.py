@@ -10,7 +10,8 @@ call per term and mode, to pin the table-driven loop bit for bit.
 The definitional forms of the library's quantities live here too: the
 annihilation operator, the many-body hopping Hamiltonian and the dense
 ``exp(-iHt)`` walk, the operator-by-operator Fock-space expectation and
-the su(d) generators of the geometric measure's tensor norm.
+the su(d) generators of the geometric measure's tensor norm, and the
+ket-by-ket occupation-qubit mapping.
 """
 
 from __future__ import annotations
@@ -307,3 +308,28 @@ def su_generators(dim: int) -> np.ndarray:
         diag[l, l] = -l
         mats.append(math.sqrt(2.0 / (l * (l + 1))) * diag)
     return math.sqrt(dim / 2.0) * np.array(mats)
+
+
+def occupation_qubit_tensor(state: ManyBodyState, parties) -> np.ndarray:
+    """The (d, d, d) occupation-qubit tensor, one ket at a time.
+
+    Each party of m modes is a 2^m-level subsystem whose level is the
+    binary number its occupations spell in the party's mode order.  Kets
+    without amplitude are skipped; a ket with amplitude and a doubly
+    occupied mode raises ValueError.
+    """
+    dim = 2 ** len(parties[0])
+    psi = np.zeros((dim, dim, dim), dtype=complex)
+    for occ, amp in zip(state.basis.states, state.amp):
+        if amp == 0.0:
+            continue
+        if max(occ) > 1:
+            raise ValueError("occupation above one")
+        levels = []
+        for party in parties:
+            level = 0
+            for mode in party:
+                level = 2 * level + occ[mode - 1]
+            levels.append(level)
+        psi[tuple(levels)] += amp
+    return psi

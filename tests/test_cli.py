@@ -16,8 +16,10 @@ from triqw import (
     snapshot,
     walk_scan,
 )
+from triqw import scans
 from triqw.cli import _JSON_BLOCK, _fmt, _json, _json_list, main
 from triqw.scans import MAX_GRID_STEPS, MAX_TIME_SAMPLES
+from triqw.states import phi_weights
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +292,43 @@ class TestScanInternals:
                 ref_g = geometric_measure(state, ADJACENT_PARTITION)
                 assert scan.eps_t[i, j] == pytest.approx(ref_t, abs=1e-10)
                 assert scan.eps_g[i, j] == pytest.approx(ref_g, abs=1e-10)
+
+    def test_phi_scan_takes_one_weight_call_per_alpha_row(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append(alpha)
+            return phi_weights(alpha, beta)
+
+        monkeypatch.setattr(scans, "phi_weights", counted)
+        scan = phi_scan(5, 3)
+        assert calls == list(scan.alphas)
+
+    def test_phi_weights_of_an_array_match_scalar_formulas(self):
+        betas = np.linspace(0.0, math.pi, 13)
+        for alpha in (0.0, 0.4, math.pi / 2, math.pi):
+            half, cos = math.sin(alpha) / math.sqrt(2.0), math.cos(alpha)
+            rows = [[cos * math.cos(b), cos * math.sin(b), half, half] for b in betas]
+            assert phi_weights(alpha, betas).tobytes() == np.array(rows, dtype=complex).tobytes()
+            assert phi_weights(alpha, betas[5]).tobytes() == np.array(rows[5], dtype=complex).tobytes()
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda: phi_scan(2.5, 5),
+            lambda: phi_scan(5, 2.5),
+            lambda: phi_scan("5", 5),
+            lambda: walk_scan(Statistics.FERMIONS, steps=2.5),
+            lambda: walk_scan(Statistics.BOSONS, steps=None),
+        ],
+    )
+    def test_scan_counts_must_be_integers(self, scan):
+        with pytest.raises(ValueError, match="need between 2 and"):
+            scan()
+
+    def test_scan_counts_accept_numpy_integers(self):
+        assert phi_scan(np.int64(2), np.int32(3)).eps_t.shape == (2, 3)
+        assert walk_scan(Statistics.BOSONS, tau_max=1.0, steps=np.int64(2)).taus.shape == (2,)
 
     def test_walk_scan_total_matches_sector_product(self):
         scan = walk_scan(Statistics.FERMIONS, ADJACENT_PARTITION, tau_max=5, steps=11)

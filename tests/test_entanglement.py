@@ -12,6 +12,7 @@ from oracles import (
     hermitian_eigenvalues,
     jacobi_eigenvalues,
     negativity_by_jacobi,
+    occupation_qubit_tensor,
     sector_maps,
     sector_matrix,
     su_generators,
@@ -48,6 +49,7 @@ from triqw.entanglement import (
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
+    _qubit_index,
     _tensor_norm_constants,
     _transpose_index,
     mode_qubit_tensor,
@@ -816,41 +818,74 @@ class TestGeometricMeasure:
         singles = np.array([tensor_norm_squared(p, gens) for p in psis])
         assert np.abs(batched - singles).max() <= 1e-10
 
-    def test_rejects_unequal_or_large_parties(self):
-        basis = enumerate_basis(3, 6, FER)
-        state = ManyBodyState.basis_ket(basis, (1, 1, 1, 0, 0, 0))
-        with pytest.raises(ValueError):
-            geometric_measure(state, Partition((1,), (2, 3), (4, 5, 6)))
-        with pytest.raises(ValueError):
-            geometric_measure(state, Partition((1, 2, 3), (4,), (5, 6)))
+    @pytest.mark.parametrize(
+        "n_modes, text",
+        [(6, "1|2,3|4,5,6"), (6, "1,2,3|4|5,6"), (9, "1,2,3|4,5,6|7,8,9"), (4, "1,2|3|4")],
+    )
+    def test_rejects_unequal_or_large_parties(self, n_modes, text):
+        basis = enumerate_basis(3, n_modes, FER)
+        state = ManyBodyState.basis_ket(basis, (1, 1, 1) + (0,) * (n_modes - 3))
+        with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
+            geometric_measure(state, Partition.parse(text))
 
     def test_rejects_multiple_occupancy(self):
         basis = enumerate_basis(2, 3, BOS)
         state = ManyBodyState.basis_ket(basis, (2, 0, 0))
-        with pytest.raises(ValueError):
-            geometric_measure(state, CHI_PARTITION)
-
-    def test_multiple_occupancy_message(self):
-        basis = enumerate_basis(2, 3, BOS)
-        state = ManyBodyState.basis_ket(basis, (2, 0, 0))
         with pytest.raises(ValueError, match="occupations of at most one"):
-            geometric_measure(state, Partition.parse("1|2|3"))
+            geometric_measure(state, CHI_PARTITION)
 
     def test_singly_occupied_boson_ket_is_separable(self):
         # kets with a doubly occupied mode carry no amplitude, so the
         # mapping accepts the state
         basis = enumerate_basis(2, 3, BOS)
         state = ManyBodyState.basis_ket(basis, (1, 1, 0))
-        assert geometric_measure(state, Partition.parse("1|2|3")) == 0.0
+        assert geometric_measure(state, CHI_PARTITION) == 0.0
 
-    @pytest.mark.parametrize(
-        "n_modes, text", [(9, "1,2,3|4,5,6|7,8,9"), (4, "1,2|3|4")]
+
+class TestQubitIndex:
+    """One cached index maps Fock kets onto the occupation-qubit tensor."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        stats=st.sampled_from([BOS, FER]),
+        n_particles=st.integers(0, 4),
+        modes=st.permutations(range(1, 7)),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_party_size_message(self, n_modes, text):
-        basis = enumerate_basis(3, n_modes, FER)
-        state = ManyBodyState.basis_ket(basis, (1, 1, 1) + (0,) * (n_modes - 3))
+    def test_tensor_matches_ket_by_ket_oracle(self, stats, n_particles, modes, seed):
+        partition = Partition(modes[:2], modes[2:4], modes[4:])
+        basis = enumerate_basis(n_particles, 6, stats)
+        amp = random_state(basis, seed).amp
+        # no amplitude on a doubly occupied mode, so bosons map too
+        amp[[max(occ) > 1 for occ in basis.states]] = 0.0
+        state = ManyBodyState(basis, amp)
+        expected = occupation_qubit_tensor(state, partition.parties)
+        assert np.array_equal(mode_qubit_tensor(state, partition), expected)
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    def test_doubly_occupied_kets_have_no_position(self, stats):
+        basis = enumerate_basis(3, 6, stats)
+        index = _qubit_index(basis, ALTERNATING_PARTITION)
+        double = np.array([max(occ) > 1 for occ in basis.states])
+        assert np.array_equal(index < 0, double)
+        assert len(set(index[~double])) == (~double).sum()
+
+    def test_index_is_cached_and_read_only(self):
+        first = _qubit_index(enumerate_basis(3, 6, FER), Partition.parse("1,2|3,4|5,6"))
+        assert _qubit_index(FockBasis(3, 6, FER), ADJACENT_PARTITION) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0
+
+    def test_mode_qubit_tensor_rejects_three_mode_parties(self):
+        basis = enumerate_basis(3, 9, FER)
+        state = ManyBodyState.basis_ket(basis, (1, 1, 1) + (0,) * 6)
         with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
-            geometric_measure(state, Partition.parse(text))
+            mode_qubit_tensor(state, Partition.parse("1,2,3|4,5,6|7,8,9"))
+
+    def test_partition_must_cover_the_basis(self):
+        state = chi_state()
+        with pytest.raises(ValueError, match="does not cover"):
+            geometric_measure(state, Partition.parse("1|2|4"))
 
 
 # (prefactor inside the root, separable norm) of the geometric measure for
