@@ -9,11 +9,13 @@ Subcommands::
 
 Each command hands one table (a header and its rows, plus a JSON record
 for ``chi`` and ``snapshot``) to ``_emit``, the only code that knows the
-formats.  Floating values in CSV output carry 12 significant digits;
-identical configurations produce byte-identical output.  Output is
-written as it is formatted (CSV a row at a time, JSON lists a block of
-items at a time), so no whole-output string is held in memory.  Exit
-code 2 flags a configuration error.
+formats.  CSV rows are tuples whose columns keep one kind, text or
+number, in every row, so a table has one ``%``-format, fixed by its
+first row: ``%s`` for text cells and ``%.12g`` (12 significant digits)
+for numbers.  Identical configurations produce byte-identical output.
+Output is written as it is formatted (CSV a row at a time, JSON lists a
+block of items at a time), so no whole-output string is held in memory.
+Exit code 2 flags a configuration error.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .entanglement import Partition
 from .fock import Statistics
 from .scans import chi_report, phi_scan, snapshot, walk_scan
 from .states import ADJACENT_PARTITION, CHI_PARTITION
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.12g}"
 
 
 # Items per encoder call of a streamed JSON list: one call per item costs
@@ -56,17 +54,25 @@ def _json_list(items):
     yield "[]\n" if head == "[" else "\n]\n"
 
 
+def _csv(header: list[str], rows):
+    """Lines of a CSV table: one ``%`` operation formats a whole row."""
+    yield ",".join(header) + "\n"
+    line = None
+    for row in rows:
+        if line is None:
+            line = ",".join("%s" if isinstance(v, str) else "%.12g" for v in row) + "\n"
+        yield line % row
+
+
 def _emit(args, header: list[str], rows, record=None) -> None:
     """Write a command's table as ``--format`` asks, to ``--out`` or stdout.
 
-    CSV is the header, then a line per row, float cells through ``_fmt``.
-    JSON is ``record`` if given, else the rows as ``{column: cell}`` items.
+    CSV is the header, then a line per row, all rows through the format
+    of the first.  JSON is ``record`` if given, else the rows as
+    ``{column: cell}`` items.
     """
     if args.format == "csv":
-        chunks = (
-            ",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n"
-            for row in itertools.chain([header], rows)
-        )
+        chunks = _csv(header, rows)
     elif record is not None:
         chunks = [_json(record)]
     else:
@@ -85,10 +91,13 @@ def cmd_chi(args) -> None:
 
 def cmd_phi_scan(args) -> None:
     scan = phi_scan(args.alpha_steps, args.beta_steps, Partition.parse(args.partition))
+    betas = scan.betas.tolist()
+    # Python float cells format fastest; converting one alpha row at a time
+    # keeps the output streamed instead of holding the grid as a list.
     rows = (
-        (alpha, beta, scan.eps_t[i, j], scan.eps_g[i, j])
-        for i, alpha in enumerate(scan.alphas)
-        for j, beta in enumerate(scan.betas)
+        (alpha, beta, eps_t, eps_g)
+        for alpha, t_row, g_row in zip(scan.alphas.tolist(), scan.eps_t, scan.eps_g)
+        for beta, eps_t, eps_g in zip(betas, t_row.tolist(), g_row.tolist())
     )
     _emit(args, ["alpha", "beta", "eps_T", "eps_G"], rows)
 

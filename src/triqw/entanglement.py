@@ -443,6 +443,17 @@ class EntanglementReport:
         return None
 
 
+def _check_normalised(measure: str, state) -> None:
+    """Reject a ket whose squared norm, or a density matrix whose trace, is
+    more than NEGATIVITY_TRACE_TOL from one."""
+    if isinstance(state, DensityMatrix):
+        weight, name = state.trace(), "trace"
+    else:
+        weight, name = float(np.vdot(state.amp, state.amp).real), "squared norm"
+    if abs(weight - 1.0) > NEGATIVITY_TRACE_TOL:
+        raise ValueError(f"{measure} expects a normalised state, got {name} {weight!r}")
+
+
 def entanglement_of_particles(
     state, partition: Partition, basis: FockBasis | None = None
 ) -> EntanglementReport:
@@ -458,12 +469,7 @@ def entanglement_of_particles(
     raises ValueError, because it would scale ``eps_T``.
     """
     dec, stack = _decomposed(state, partition, basis)
-    if isinstance(state, DensityMatrix):
-        weight, name = state.trace(), "trace"
-    else:
-        weight, name = float(np.vdot(state.amp, state.amp).real), "squared norm"
-    if abs(weight - 1.0) > NEGATIVITY_TRACE_TOL:
-        raise ValueError(f"eps_T expects a normalised state, got {name} {weight!r}")
+    _check_normalised("eps_T", state)
     probs, negs, eps_t = _eps_t_kernel(dec, stack)
     records = tuple(
         SectorRecord(counts, prob, *sector_negs)
@@ -544,15 +550,17 @@ def _geometric_kernel(psis: np.ndarray) -> np.ndarray:
 
     with n = <psi|psi> and rho_X the unnormalised one-party marginals,
     so no generator is contracted and unnormalised input gives the same
-    value as the generator path.
+    value as the generator path.  Each marginal is one batched Gram
+    product: with party X's axis first, the tensor is a (d, d^2) matrix
+    R of rows and rho_X = R R^dagger.
     """
     dim = psis.shape[-1]
     norm = np.sum(np.abs(psis) ** 2, axis=(-3, -2, -1))
-    marginals = ("...abc,...xbc->...ax", "...abc,...ayc->...by", "...abc,...abz->...cz")
-    purities = sum(
-        np.sum(np.abs(np.einsum(spec, psis, psis.conj())) ** 2, axis=(-2, -1))
-        for spec in marginals
-    )
+    purities = 0.0
+    for axis in (-3, -2, -1):
+        rows = np.moveaxis(psis, axis, -3).reshape(psis.shape[:-3] + (dim, dim * dim))
+        marginal = rows @ rows.conj().swapaxes(-1, -2)
+        purities = purities + np.sum(np.abs(marginal) ** 2, axis=(-2, -1))
     total = (dim**3 - 1) * norm**2 - dim * (dim - 1) * purities
     prefactor, sep_norm = _tensor_norm_constants(dim)
     return np.sqrt(prefactor * total) - sep_norm
@@ -565,6 +573,10 @@ def geometric_measure(state: ManyBodyState, partition: Partition) -> float:
     two modes (fifteen su(4) generators, prefactor 8 inside the root,
     separable norm 6*sqrt(6)).  Defined here for pure states only, and
     evaluated from the marginal purities by ``_geometric_kernel`` as a
-    batch of one.
+    batch of one.  The state must be normalised: a squared norm more
+    than NEGATIVITY_TRACE_TOL from one raises ValueError, because the
+    measure grows with the norm.
     """
-    return float(_geometric_kernel(mode_qubit_tensor(state, partition)))
+    psi = mode_qubit_tensor(state, partition)
+    _check_normalised("eps_G", state)
+    return float(_geometric_kernel(psi))

@@ -81,8 +81,8 @@ MUTANTS = [
     (
         "eps-g-marginal-conjugate-dropped",
         "entanglement.py",
-        "np.einsum(spec, psis, psis.conj())",
-        "np.einsum(spec, psis, psis)",
+        "rows @ rows.conj().swapaxes(-1, -2)",
+        "rows @ rows.swapaxes(-1, -2)",
     ),
     (
         "phi-weight-root-two",
@@ -90,6 +90,7 @@ MUTANTS = [
         "math.sin(alpha) / math.sqrt(2.0)",
         "math.sin(alpha) / 2.0",
     ),
+    ("csv-precision", "cli.py", '"%.12g"', '"%.11g"'),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")

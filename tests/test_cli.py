@@ -16,8 +16,8 @@ from triqw import (
     snapshot,
     walk_scan,
 )
-from triqw import scans
-from triqw.cli import _JSON_BLOCK, _fmt, _json, _json_list, main
+from triqw import cli, scans
+from triqw.cli import _JSON_BLOCK, _csv, _json, _json_list, main
 from triqw.scans import MAX_GRID_STEPS, MAX_TIME_SAMPLES
 from triqw.states import phi_weights
 
@@ -209,6 +209,11 @@ class TestSnapshotCommand:
         assert abs(int(r) - int(s)) == 1
 
 
+def _fmt(value: float) -> str:
+    """One CSV number, formatted on its own: the per-cell reference."""
+    return f"{float(value):.12g}"
+
+
 def whole_csv(header, rows) -> str:
     """CSV text built in one piece, the reference for the streamed output."""
     lines = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
@@ -279,6 +284,48 @@ class TestStreamedOutput:
     def test_json_list_rejects_non_finite_values(self):
         with pytest.raises(ValueError):
             "".join(_json_list([{"value": float("nan")}]))
+
+
+# Cells whose 12-digit text is easy to get wrong: signed zero, the
+# smallest subnormal, exponents of both signs, a sum with a long repr,
+# more than 12 integer digits, and the non-finite values.
+EDGE_CELLS = [-0.0, 5e-324, 1e-300, 1e22, 0.1 + 0.2, 123456789012.5, math.nan, math.inf, -math.inf]
+
+
+class TestCsvWriter:
+    """One format per table gives the bytes of formatting each cell alone."""
+
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    def test_number_cells_match_per_cell_reference(self, kind):
+        cells = [kind(v) for v in EDGE_CELLS]
+        rows = [tuple(cells[k:] + cells[:k])[:4] for k in range(len(cells))]
+        header = ["w", "x", "y", "z"]
+        assert "".join(_csv(header, rows)) == whole_csv(header, rows)
+
+    def test_text_and_number_cells_match_per_cell_reference(self):
+        rows = [("rho", "1", "", EDGE_CELLS[0])]
+        rows += [("Gamma", str(r), str(r + 1), np.float64(v)) for r, v in enumerate(EDGE_CELLS)]
+        rows += [("g", "0", "", float(v)) for v in EDGE_CELLS]
+        header = ["quantity", "r", "s", "value"]
+        assert "".join(_csv(header, rows)) == whole_csv(header, rows)
+
+    def test_empty_table_is_the_header(self):
+        assert "".join(_csv(["a", "b"], [])) == "a,b\n"
+
+    @pytest.mark.parametrize("command", ["chi", "phi-scan", "walk", "snapshot"])
+    def test_rows_keep_one_kind_per_column(self, monkeypatch, command):
+        """The first row fixes the table's format, so every command must
+        hand over tuples whose columns are all text or all numbers."""
+        tables = []
+        monkeypatch.setattr(
+            cli, "_emit", lambda args, header, rows, record=None: tables.append((header, list(rows)))
+        )
+        assert main(expected_table(command)[0] + ["--format", "csv"]) == 0
+        ((header, rows),) = tables
+        assert all(type(row) is tuple and len(row) == len(header) for row in rows)
+        kinds = {tuple(isinstance(v, str) for v in row) for row in rows}
+        assert len(kinds) == 1
+        assert all(isinstance(v, (str, float)) for row in rows for v in row)
 
 
 class TestScanInternals:

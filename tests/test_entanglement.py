@@ -834,6 +834,43 @@ class TestGeometricMeasure:
         with pytest.raises(ValueError, match="occupations of at most one"):
             geometric_measure(state, CHI_PARTITION)
 
+    @pytest.mark.parametrize(
+        "make, partition, scale",
+        [
+            (chi_state, CHI_PARTITION, 0.0),
+            (chi_state, CHI_PARTITION, 2.0),
+            (lambda: phi_state(0.3, 0.4), ADJACENT_PARTITION, 0.5),
+            (chi_state, CHI_PARTITION, 1.0 + 1e-9),
+        ],
+        ids=["zero", "chi-times-2", "phi-times-half", "chi-near-one"],
+    )
+    def test_unnormalised_state_is_rejected(self, make, partition, scale):
+        # used to return -1.0, 6.659 and -10.25 for the first three
+        state = make()
+        bad = ManyBodyState(state.basis, scale * state.amp)
+        message = "eps_G expects a normalised state, got squared norm "
+        with pytest.raises(ValueError, match=message) as err:
+            geometric_measure(bad, partition)
+        assert float(str(err.value)[len(message):]) == pytest.approx(scale**2, abs=1e-12)
+
+    def test_rounding_of_the_norm_is_accepted(self):
+        state = phi_state(0.3, 0.4)
+        near = ManyBodyState(state.basis, math.sqrt(1.0 + 1e-12) * state.amp)
+        value = geometric_measure(near, ADJACENT_PARTITION)
+        assert value == pytest.approx(geometric_measure(state, ADJACENT_PARTITION), abs=1e-9)
+
+    def test_partition_and_occupancy_are_checked_before_the_norm(self):
+        basis = enumerate_basis(3, 6, FER)
+        state = ManyBodyState(basis, 3.0 * ManyBodyState.basis_ket(basis, (1, 1, 1, 0, 0, 0)).amp)
+        with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
+            geometric_measure(state, Partition.parse("1|2,3|4,5,6"))
+        with pytest.raises(ValueError, match="does not cover"):
+            geometric_measure(state, Partition.parse("1,2|3,4|5,7"))
+        boson_basis = enumerate_basis(2, 3, BOS)
+        boson = ManyBodyState(boson_basis, 3.0 * ManyBodyState.basis_ket(boson_basis, (2, 0, 0)).amp)
+        with pytest.raises(ValueError, match="occupations of at most one"):
+            geometric_measure(boson, CHI_PARTITION)
+
     def test_singly_occupied_boson_ket_is_separable(self):
         # kets with a doubly occupied mode carry no amplitude, so the
         # mapping accepts the state
