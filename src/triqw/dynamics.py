@@ -9,7 +9,6 @@ phase ``exp(-i*N*G*tau/T)`` to any N-particle state and defaults to 0.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,8 @@ from .fock import (
     FockBasis,
     ManyBodyState,
     Statistics,
+    _integers,
+    _occupations,
     _read_only,
     build_monomial_state,
     enumerate_basis,
@@ -33,12 +34,8 @@ class LatticeParams:
     tunneling: float = 1.0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "n_modes", operator.index(self.n_modes))
-        except TypeError:
-            raise ValueError(f"mode count must be an integer, got {self.n_modes!r}") from None
-        if self.n_modes < 1:
-            raise ValueError("need at least one mode")
+        (n_modes,) = _integers((self.n_modes,), "mode count must be a positive integer", low=1)
+        object.__setattr__(self, "n_modes", n_modes)
         if not (np.isfinite(self.onsite) and np.isfinite(self.tunneling)):
             raise ValueError("on-site energy and tunneling rate must be finite")
         if self.tunneling == 0.0:
@@ -101,9 +98,11 @@ def evolve_state(
     propagator's phases depend on tau: its sine basis and the expansion
     plan are cached per structure, so repeated calls on one ``basis`` and
     ``init`` redo only the arithmetic.  Passing ``basis`` also saves its
-    enumeration on every call.
+    enumeration on every call.  ``init`` needs one non-negative integer per
+    site, at most one per site for fermions; without ``basis`` it is
+    checked before the basis is enumerated from it.
     """
-    init = tuple(init)
     if basis is None:
+        init = _occupations(init, params.n_modes, stats)
         basis = enumerate_basis(sum(init), params.n_modes, stats)
     return build_monomial_state(basis, single_particle_propagator(params, tau), init)

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import DensityMatrix, FockBasis, ManyBodyState, _read_only
+from .fock import DensityMatrix, FockBasis, ManyBodyState, _integers, _read_only
 
 PROBABILITY_FLOOR = 1e-14
 NEGATIVITY_TRACE_TOL = 1e-10
@@ -67,15 +66,10 @@ class Partition:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            parties = [tuple(operator.index(m) for m in p) for p in self.parties]
-        except TypeError:
-            raise ValueError(f"mode indices must be integers, got {self.parties!r}") from None
-        for name, modes in zip("abc", parties):
+        for name, modes in zip("abc", self.parties):
+            modes = _integers(modes, "mode indices must be positive integers", low=1)
             object.__setattr__(self, name, modes)
         all_modes = self.a + self.b + self.c
-        if not all_modes or min(all_modes) < 1:
-            raise ValueError("mode indices must be positive")
         if len(set(all_modes)) != len(all_modes):
             raise ValueError("parties must be disjoint")
         if not (self.a and self.b and self.c):
@@ -200,9 +194,8 @@ class SectorDecomposition:
         return [_sector_state(sec, state.amp[None]) for sec in self.sectors.values()]
 
     def project_density(self, dm: DensityMatrix) -> list[SectorState]:
-        if dm.mat.shape != (len(self.basis), len(self.basis)):
-            raise ValueError("density matrix does not match the basis dimension")
-        return [_sector_state(sec, dm.mat[None]) for sec in self.sectors.values()]
+        _, stack = _decomposed(dm, self.partition, self.basis)
+        return [_sector_state(sec, stack) for sec in self.sectors.values()]
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,7 +250,8 @@ def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray
 
 def _decomposed(state, partition: Partition, basis: FockBasis | None):
     """Decomposition and batch-of-one stack of a ManyBodyState, or of a
-    DensityMatrix on the full Fock basis ``basis``."""
+    DensityMatrix on the full Fock basis ``basis``: the one check that a
+    density matrix matches the basis dimension."""
     if isinstance(state, ManyBodyState):
         return _decomposition(state.basis, partition), state.amp[None]
     if not isinstance(state, DensityMatrix):
@@ -293,12 +287,10 @@ def project_sector(
 
 
 def _sector_counts(counts) -> tuple[int, int, int]:
-    try:
-        checked = tuple(operator.index(n) for n in counts)
-    except TypeError:
-        checked = ()
-    if len(checked) != 3 or min(checked) < 0:
-        raise ValueError(f"sector counts must be three non-negative integers, got {counts!r}")
+    message = "sector counts must be three non-negative integers"
+    checked = _integers(counts, message)
+    if len(checked) != 3:
+        raise ValueError(f"{message}, got {counts!r}")
     return checked
 
 
@@ -329,6 +321,17 @@ def _check_party(rho: DensityMatrix, party: int) -> None:
         raise ValueError(f"party {party} out of range for dims {rho.dims}")
 
 
+def _check_normalised(measure: str, state) -> None:
+    """Reject a ket whose squared norm, or a density matrix whose trace, is
+    more than NEGATIVITY_TRACE_TOL from one."""
+    if isinstance(state, DensityMatrix):
+        weight, name = state.trace(), "trace"
+    else:
+        weight, name = float(np.vdot(state.amp, state.amp).real), "squared norm"
+    if abs(weight - 1.0) > NEGATIVITY_TRACE_TOL:
+        raise ValueError(f"{measure} expects a normalised state, got {name} {weight!r}")
+
+
 def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
     """Transpose the indices of one party; an involution."""
     _check_party(rho, party)
@@ -352,11 +355,11 @@ def bipartite_negativity(rho: DensityMatrix, party: int) -> float:
     """Sum of absolute partial-transpose eigenvalues minus one, floored at 0.
 
     ``party`` indexes ``rho.dims``; anything outside ``0..len(dims)-1``
-    raises ValueError.
+    raises ValueError, and so does a trace more than NEGATIVITY_TRACE_TOL
+    from one.
     """
     _check_party(rho, party)
-    if abs(rho.trace() - 1.0) > NEGATIVITY_TRACE_TOL:
-        raise ValueError("negativity expects a trace-one density matrix")
+    _check_normalised("negativity", rho)
     return float(_negativity(partial_transpose(rho, party).mat))
 
 
@@ -441,17 +444,6 @@ class EntanglementReport:
             if rec.counts == counts:
                 return rec
         return None
-
-
-def _check_normalised(measure: str, state) -> None:
-    """Reject a ket whose squared norm, or a density matrix whose trace, is
-    more than NEGATIVITY_TRACE_TOL from one."""
-    if isinstance(state, DensityMatrix):
-        weight, name = state.trace(), "trace"
-    else:
-        weight, name = float(np.vdot(state.amp, state.amp).real), "squared norm"
-    if abs(weight - 1.0) > NEGATIVITY_TRACE_TOL:
-        raise ValueError(f"{measure} expects a normalised state, got {name} {weight!r}")
 
 
 def entanglement_of_particles(
@@ -577,6 +569,8 @@ def geometric_measure(state: ManyBodyState, partition: Partition) -> float:
     than NEGATIVITY_TRACE_TOL from one raises ValueError, because the
     measure grows with the norm.
     """
+    if not isinstance(state, ManyBodyState):
+        raise ValueError("eps_G is defined for pure states (ManyBodyState) only")
     psi = mode_qubit_tensor(state, partition)
     _check_normalised("eps_G", state)
     return float(_geometric_kernel(psi))

@@ -9,6 +9,8 @@ Conventions used throughout the package:
   kets carrying the usual ``1/sqrt(n_i!)`` normalization.  Under this
   convention ket labels are sign-free and every fermionic sign lives in
   the operator application rules below.
+* ``_integers`` is the package's one integer check of caller input, and
+  ``_occupations`` its one check of a walk's initial occupation.
 """
 
 from __future__ import annotations
@@ -41,6 +43,29 @@ class Statistics(Enum):
             raise ValueError(f"unknown statistics {name!r}; use 'bosons' or 'fermions'")
 
 
+def _integers(values, message: str, low: int = 0) -> tuple[int, ...]:
+    """``values`` as Python ints of at least ``low``, else ValueError(message):
+    numpy integers pass, floats such as ``1.0`` do not, and none is truncated."""
+    try:
+        checked = tuple(operator.index(v) for v in values)
+    except TypeError:
+        checked = None
+    if checked is None or any(v < low for v in checked):
+        raise ValueError(f"{message}, got {values!r}")
+    return checked
+
+
+def _occupations(init, n_modes=None, stats=None) -> tuple[int, ...]:
+    """``init`` as Python ints: one non-negative integer per site, ``n_modes``
+    sites when given, at most one per site when ``stats`` is fermionic."""
+    init = _integers(init, "initial occupations must be non-negative integers")
+    if n_modes is not None and len(init) != n_modes:
+        raise ValueError(f"initial occupation has {len(init)} sites, the lattice has {n_modes}")
+    if stats is Statistics.FERMIONS and any(n > 1 for n in init):
+        raise ValueError("fermionic occupations must be 0 or 1")
+    return init
+
+
 def _occupation_vectors(n_modes: int, n_particles: int, cap: int):
     """Yield occupation tuples in lexicographically ascending order."""
     if n_modes == 1:
@@ -61,16 +86,8 @@ class FockBasis:
     """
 
     def __init__(self, n_particles: int, n_modes: int, stats: Statistics):
-        try:
-            n_particles, n_modes = operator.index(n_particles), operator.index(n_modes)
-        except TypeError:
-            raise ValueError(
-                f"particle and mode counts must be integers, got {n_particles!r} and {n_modes!r}"
-            ) from None
-        if n_particles < 0:
-            raise ValueError("particle number must be non-negative")
-        if n_modes < 1:
-            raise ValueError("need at least one mode")
+        (n_particles,) = _integers((n_particles,), "particle count must be a non-negative integer")
+        (n_modes,) = _integers((n_modes,), "mode count must be a positive integer", low=1)
         if stats.exclusive and n_particles > n_modes:
             raise ValueError(
                 f"no fermionic states with {n_particles} particles on {n_modes} modes"
@@ -184,7 +201,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _integers(self.dims, "density matrix dims must be positive integers", low=1)
         self.mat = np.asarray(self.mat, dtype=complex)
         d = math.prod(self.dims)
         if self.mat.shape != (d, d):
@@ -280,17 +297,9 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
       reaches an amplitude: every sum starts from +0;
     * ``np.bincount`` adds each amplitude's terms in the loop's order.
     """
-    init = tuple(init)
-    try:
-        valid = all(operator.index(n) >= 0 for n in init)
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"initial occupations must be non-negative integers, got {init!r}")
-    if len(init) != basis.n_modes or sum(init) != basis.n_particles:
+    init = _occupations(init, basis.n_modes, basis.stats)
+    if sum(init) != basis.n_particles:
         raise ValueError("initial occupation does not match the basis")
-    if basis.stats.exclusive and any(n > 1 for n in init):
-        raise ValueError("fermionic occupations must be 0 or 1")
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (basis.n_modes, basis.n_modes):
         raise ValueError("coefficient matrix must be L x L")

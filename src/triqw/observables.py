@@ -9,37 +9,28 @@ of the Fock dimension:
               (+ for bosons, - for fermions), plus the bosonic
               same-site term sum_p |C_rp|^2 |C_sp|^2 n_p (n_p - 1)
 * distance    g(Delta) = sum_q Gamma_{q, q+Delta}, single-sided
+
+Occupations are checked by ``fock._occupations``: non-negative integers,
+at most one per site for fermions; floats such as ``1.0`` are rejected.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import Statistics
-
-
-def _occupations(mat: np.ndarray, occupations) -> np.ndarray:
-    """``occupations`` as floats, checked to be one non-negative integer per site."""
-    n = np.asarray(occupations, dtype=float)
-    if n.shape != (mat.shape[0],):
-        raise ValueError("occupation vector does not match the lattice size")
-    if not (np.isfinite(n).all() and (n >= 0).all() and (n == np.floor(n)).all()):
-        raise ValueError("occupations must be non-negative integers")
-    return n
+from .fock import Statistics, _occupations
 
 
 def single_particle_density(prop, occupations) -> np.ndarray:
     """Site-resolved particle density; identical for bosons and fermions."""
     mat = np.asarray(prop, dtype=complex)
-    return np.abs(mat) ** 2 @ _occupations(mat, occupations)
+    return np.abs(mat) ** 2 @ np.array(_occupations(occupations, len(mat)), dtype=float)
 
 
 def two_particle_correlation(prop, occupations, stats: Statistics) -> np.ndarray:
     """Joint detection matrix Gamma[r, s] = <c_r^+ c_s^+ c_s c_r>."""
     mat = np.asarray(prop, dtype=complex)
-    n = _occupations(mat, occupations)
-    if stats.exclusive and np.any(n > 1):
-        raise ValueError("fermionic occupations must be 0 or 1")
+    n = np.array(_occupations(occupations, len(mat), stats), dtype=float)
 
     sign = -1.0 if stats.exclusive else 1.0
     # amp[r, s, p, q] = C_rp C_sq +- C_rq C_sp, summed over pairs q < p

@@ -8,7 +8,9 @@ and the walk passes all its time samples to the ``eps_T`` kernel in one
 call.  Both take the shared sector decomposition of their basis and partition.
 Sample counts are capped (MAX_GRID_STEPS per phase axis,
 MAX_TIME_SAMPLES per walk) because memory grows with them; larger
-requests are rejected before anything is allocated.
+requests are rejected before anything is allocated.  The walk and the
+snapshot check their initial occupation through ``fock._occupations``
+before they build anything from it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .entanglement import (
     _geometric_kernel,
     _qubit_index,
 )
-from .fock import Statistics, enumerate_basis
+from .fock import Statistics, _occupations, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
@@ -132,7 +134,7 @@ def walk_scan(
     steps = _sample_count(steps, MAX_TIME_SAMPLES, "time samples")
     if not math.isfinite(tau_max):
         raise ValueError("tau_max must be finite")
-    init = tuple(init)
+    init = _occupations(init, stats=stats)
     params = LatticeParams(len(init), onsite=onsite)
     basis = enumerate_basis(sum(init), len(init), stats)
     dec = _decomposition(basis, partition)
@@ -152,7 +154,7 @@ def snapshot(
     stats: Statistics, tau: float, onsite: float = 0.0, init=WALK_INIT
 ) -> dict:
     """Density, pair-correlation matrix and distance histogram at one time."""
-    init = tuple(init)
+    init = _occupations(init, stats=stats)
     params = LatticeParams(len(init), onsite=onsite)
     prop = single_particle_propagator(params, tau)
     gamma = two_particle_correlation(prop, init, stats)

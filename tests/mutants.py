@@ -91,6 +91,18 @@ MUTANTS = [
         "math.sin(alpha) / 2.0",
     ),
     ("csv-precision", "cli.py", '"%.12g"', '"%.11g"'),
+    (
+        "integer-guard-ignores-low",
+        "fock.py",
+        "any(v < low for v in checked)",
+        "any(v < 0 for v in checked)",
+    ),
+    (
+        "fermions-share-a-site",
+        "fock.py",
+        "any(n > 1 for n in init)",
+        "any(n > 2 for n in init)",
+    ),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")

@@ -217,11 +217,15 @@ def test_lattice_params_validation():
         LatticeParams(6, tunneling=0.0)
 
 
-@pytest.mark.parametrize("init", [(-1, 4, 0, 0, 0, 0), (1.5, 1.5, 0, 0, 0, 0)])
+@pytest.mark.parametrize(
+    "init", [(-1, 4, 0, 0, 0, 0), (1.5, 1.5, 0, 0, 0, 0), (1.0, 1, 1, 0, 0, 0)]
+)
 def test_evolve_state_and_walk_scan_reject_bad_init(init):
-    with pytest.raises(ValueError, match="integers"):
+    # the float cases used to fail in FockBasis, on the particle count 3.0
+    message = "initial occupations must be non-negative integers"
+    with pytest.raises(ValueError, match=message):
         evolve_state(init, LatticeParams(6), 1.0, BOS)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=message):
         walk_scan(BOS, init=init, steps=2)
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -55,6 +55,7 @@ from triqw.entanglement import (
     mode_qubit_tensor,
     tensor_norm_squared,
 )
+from triqw.states import phi_basis
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS
@@ -147,6 +148,16 @@ class TestSectorProjection:
         # (1, 2) and (4, -1, 0) sum to N=3, so only the shape check rejects them
         with pytest.raises(ValueError, match="sector counts"):
             project_sector(phi_state(0.3, 0.7), ADJACENT_PARTITION, counts)
+
+    @pytest.mark.parametrize("via", ["project_sector", "project_density"])
+    def test_density_matrix_must_match_the_basis_dimension(self, via):
+        basis = enumerate_basis(3, 6, FER)
+        small = DensityMatrix.from_state(chi_state())
+        with pytest.raises(ValueError, match="does not match the basis dimension"):
+            if via == "project_sector":
+                project_sector(small, ADJACENT_PARTITION, (1, 1, 1), basis=basis)
+            else:
+                _decomposition(basis, ADJACENT_PARTITION).project_density(small)
 
     def test_two_fermions_on_a_one_mode_party_have_zero_probability(self):
         state = ManyBodyState.basis_ket(enumerate_basis(2, 3, FER), (1, 1, 0))
@@ -312,7 +323,7 @@ class TestNegativities:
 
     def test_trace_precondition(self):
         bad = DensityMatrix((2, 2, 2), 2.0 * GHZ.mat)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negativity expects a normalised state, got trace"):
             bipartite_negativity(bad, 0)
 
     @pytest.mark.parametrize("party", [-1, 3])
@@ -761,6 +772,17 @@ def marginal_purity_tensor_norm(psi: np.ndarray, dim: int) -> float:
     return dim**3 * total
 
 
+@st.composite
+def complex_phi_states(draw):
+    """Normalised states on ``phi_basis()`` with amplitudes of any phase."""
+    basis = phi_basis()
+    elements = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    amp = draw(arrays(np.complex128, len(basis), elements=elements))
+    norm = np.linalg.norm(amp)
+    assume(norm > 0.1)
+    return ManyBodyState(basis, amp / norm)
+
+
 class TestGeometricMeasure:
     def test_chi_value(self):
         expected = math.sqrt(33.0) / 3.0 - 1.0
@@ -870,6 +892,21 @@ class TestGeometricMeasure:
         boson = ManyBodyState(boson_basis, 3.0 * ManyBodyState.basis_ket(boson_basis, (2, 0, 0)).amp)
         with pytest.raises(ValueError, match="occupations of at most one"):
             geometric_measure(boson, CHI_PARTITION)
+
+    def test_density_matrix_is_rejected(self):
+        # used to raise AttributeError from mode_qubit_tensor
+        rho = DensityMatrix.from_state(chi_state())
+        with pytest.raises(ValueError, match="pure states"):
+            geometric_measure(rho, CHI_PARTITION)
+
+    @settings(max_examples=40, deadline=None)
+    @given(complex_phi_states(), st.sampled_from([ADJACENT_PARTITION, ALTERNATING_PARTITION]))
+    def test_complex_states_match_generator_contraction(self, state, partition):
+        # every production input is real, so only complex amplitudes show a
+        # marginal that loses its complex conjugate on the public path
+        psi = mode_qubit_tensor(state, partition)
+        reference = eps_g_from_norm(tensor_norm_squared(psi, su_generators(4)), 4)
+        assert abs(geometric_measure(state, partition) - reference) <= 1e-10
 
     def test_singly_occupied_boson_ket_is_separable(self):
         # kets with a doubly occupied mode carry no amplitude, so the

@@ -91,7 +91,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("counts", [(2.5, 3), (3, 2.0), ("3", 6), (3, None)])
     def test_non_integer_counts_rejected(self, counts):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be a (non-negative|positive) integer"):
             enumerate_basis(*counts, BOS)
 
     def test_numpy_integer_counts_stored_as_int(self):
@@ -337,6 +337,16 @@ def test_density_matrix_residual_picks_the_message(entries, message):
         mat[pos] = value
     with pytest.raises(ValueError, match=message):
         DensityMatrix((2, 2), mat)
+
+
+@pytest.mark.parametrize(
+    "dims, mat", [((2.5,), np.eye(2) / 2), ((-1, -1), [[1.0]]), ((0,), np.zeros((0, 0)))]
+)
+def test_density_matrix_rejects_dims_that_are_not_positive_integers(dims, mat):
+    # (2.5,) used to be truncated to (2,) and (-1, -1) kept as given, both
+    # with a matching matrix; (0,) failed inside numpy's empty max
+    with pytest.raises(ValueError, match="dims must be positive integers"):
+        DensityMatrix(dims, mat)
 
 
 def test_density_matrix_accepts_hermitian_within_tolerance():

@@ -98,10 +98,18 @@ class TestPairCorrelation:
 
 
 @pytest.mark.parametrize(
-    "init", [(-1, 4, 0, 0, 0, 0), (0.5, 1, 1.5, 0, 0, 0), (1, 1, 1, 0, 0, float("nan"))]
+    "init",
+    [
+        (-1, 4, 0, 0, 0, 0),
+        (0.5, 1, 1.5, 0, 0, 0),
+        (1, 1, 1, 0, 0, float("nan")),
+        (1.0, 1, 1, 0, 0, 0),
+        np.array([1.0, 1, 1, 0, 0, 0]),
+    ],
 )
 class TestOccupationGuard:
-    """Both observables reject occupations that are not non-negative integers."""
+    """Both observables reject occupations that are not non-negative integers,
+    integer-valued floats included (the last two used to be accepted)."""
 
     def test_density(self, init):
         with pytest.raises(ValueError, match="non-negative integers"):
