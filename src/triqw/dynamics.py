@@ -99,10 +99,15 @@ def evolve_state(
     plan are cached per structure, so repeated calls on one ``basis`` and
     ``init`` redo only the arithmetic.  Passing ``basis`` also saves its
     enumeration on every call.  ``init`` needs one non-negative integer per
-    site, at most one per site for fermions; without ``basis`` it is
-    checked before the basis is enumerated from it.
+    site, at most one per site for fermions, and is checked before
+    anything is built from it; a ``basis`` whose particle number, mode
+    count or statistics differ from ``init``, ``params`` and ``stats``
+    raises ValueError.
     """
+    init = _occupations(init, params.n_modes, stats)
+    shape = (sum(init), params.n_modes, stats)
     if basis is None:
-        init = _occupations(init, params.n_modes, stats)
-        basis = enumerate_basis(sum(init), params.n_modes, stats)
+        basis = enumerate_basis(*shape)
+    elif (basis.n_particles, basis.n_modes, basis.stats) != shape:
+        raise ValueError(f"{basis!r} does not match N={shape[0]}, L={shape[1]}, {stats.value}")
     return build_monomial_state(basis, single_particle_propagator(params, tau), init)

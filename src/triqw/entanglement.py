@@ -8,24 +8,25 @@ Two quantities are computed for a three-party split of the modes:
   sector probabilities.  Sectors in which some party has a
   one-dimensional local space are biseparable and contribute exactly
   zero.  One batched kernel (``_eps_t_kernel``) serves the per-state
-  function and the scans; every partial-transpose negativity goes
-  through ``_negativity``.  The sector decomposition depends only on the
+  function and the scans.  The sector decomposition depends only on the
   basis and the partition, so every caller shares one cached instance
   per pair (``_decomposition``), with its kernel plan: the sector
   gathers stacked by length, for one probability gather per length, and
   the sectors whose parties all have more than one local state.  One
   function (``_sector_blocks``) builds the normalised sector blocks for
-  both ``project_sector`` and the kernel, and every partial transpose
-  gathers through the cached permutation of its dims
+  ``project_sector`` and the kernel, and one (``_negativity``) cuts
+  blocks for the kernel and both public negativities, gathering every
+  partial transpose through the cached permutation of its dims
   (``_transpose_index``).
 * ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
   built from triple products of su(d) generators on the occupation-qubit
-  isomorphism, minus its value on fully factorized kets.  Production
-  code evaluates the generator sum through its closed form in the
-  one-party marginal purities (``_geometric_kernel``); the generator
-  contraction ``tensor_norm_squared`` stays as the definitional
-  reference, and the generators it contracts (``su_generators``) are
-  built in ``tests/oracles.py``.
+  isomorphism (``mode_qubit_tensor``, also used by the phase-grid scan),
+  minus its value on fully factorized kets.  Production code evaluates
+  the generator sum through its closed form in the one-party marginal
+  purities (``_geometric_kernel``); the generator contraction
+  ``tensor_norm_squared`` stays as the definitional reference, and the
+  generators it contracts (``su_generators``) are built in
+  ``tests/oracles.py``.
 
 Fermionic bookkeeping: each sector stores, per entry of its local
 product basis, the position of the global ket that entry gathers and
@@ -210,7 +211,7 @@ def _decomposition(basis: FockBasis, partition: Partition) -> SectorDecompositio
 
 def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
     """Probability and normalized block of a batch-of-one stack in one sector."""
-    prob = _sector_probs(stack, sector.index)
+    prob = _sector_probs(stack, sector.index[None])[:, 0]
     rho = None
     if prob[0] > PROBABILITY_FLOOR:
         rho = DensityMatrix(sector.dims, _sector_blocks(sector, stack, np.arange(1), prob)[0])
@@ -218,12 +219,11 @@ def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
 
 
 def _sector_probs(states: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Sector probabilities of a stack of (B, n) amplitude vectors or
-    (B, n, n) density matrices: the sum of ``|amp|^2`` or of the diagonal
-    over the basis states of one sector's ``index`` (d,), giving (B,), or
-    of each row of a stack of equal-length indices (m, d), giving (B, m).
-    A sign of +-1 changes no modulus and no diagonal entry, so it is left
-    out."""
+    """Probabilities (B, m) of the sectors of a stack of equal-length
+    indices (m, d) in a stack of (B, n) amplitude vectors or (B, n, n)
+    density matrices: the sum of ``|amp|^2`` or of the diagonal over each
+    row's basis states.  A sign of +-1 changes no modulus and no diagonal
+    entry, so it is left out."""
     if states.ndim == 3:
         return states[:, index, index].sum(axis=-1).real
     return (np.abs(states[:, index]) ** 2).sum(axis=-1)
@@ -305,7 +305,7 @@ def _transpose_index(dims: tuple[int, ...]) -> np.ndarray:
     Row ``p`` lists, for each entry of the flattened D x D partial
     transpose over party ``p`` (D = prod(dims)), the position of the
     entry of the flattened matrix it takes.  It is the one definition of
-    the partial transpose: ``partial_transpose`` and ``_eps_t_kernel``
+    the partial transpose: ``partial_transpose`` and ``_negativity``
     gather through it.  Read-only, because rows are shared between
     callers.
     """
@@ -316,9 +316,12 @@ def _transpose_index(dims: tuple[int, ...]) -> np.ndarray:
     )
 
 
-def _check_party(rho: DensityMatrix, party: int) -> None:
-    if not 0 <= party < len(rho.dims):
-        raise ValueError(f"party {party} out of range for dims {rho.dims}")
+def _check_party(rho: DensityMatrix, party) -> int:
+    message = f"party out of range for dims {rho.dims}: need an integer 0..{len(rho.dims) - 1}"
+    (party,) = _integers((party,), message)
+    if party >= len(rho.dims):
+        raise ValueError(f"{message}, got {party!r}")
+    return party
 
 
 def _check_normalised(measure: str, state) -> None:
@@ -334,40 +337,42 @@ def _check_normalised(measure: str, state) -> None:
 
 def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
     """Transpose the indices of one party; an involution."""
-    _check_party(rho, party)
+    party = _check_party(rho, party)
     mat = rho.mat.reshape(-1)[_transpose_index(rho.dims)[party]]
     return DensityMatrix(rho.dims, mat.reshape(rho.mat.shape))
 
 
-def _negativity(transposes: np.ndarray) -> np.ndarray:
-    """Negativities of a stack of partial transposes of trace-one density
-    matrices: the sum of absolute eigenvalues minus one, floored at 0.
-
-    The partial transpose of a Hermitian matrix is Hermitian, so one
-    batched Hermitian solve takes the whole stack; LAPACK solves each
-    matrix on its own, reading one triangle.
-    """
-    eig = np.linalg.eigvalsh(transposes)
+def _negativity(stack: np.ndarray, dims: tuple[int, ...], parties: list[int]) -> np.ndarray:
+    """Negativities (P, len(parties)) of a (P, D, D) stack of trace-one
+    density matrices on ``dims``, cut between each of ``parties`` and the
+    rest: the sum of absolute partial-transpose eigenvalues minus one,
+    floored at 0.  The transposes are Hermitian, so one batched Hermitian
+    solve takes them all; LAPACK solves each on its own, reading one
+    triangle."""
+    size = stack.shape[-1]
+    transposes = stack.reshape(len(stack), -1)[:, _transpose_index(dims)[parties]]
+    eig = np.linalg.eigvalsh(transposes.reshape(transposes.shape[:2] + (size, size)))
     return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
 
 def bipartite_negativity(rho: DensityMatrix, party: int) -> float:
     """Sum of absolute partial-transpose eigenvalues minus one, floored at 0.
 
-    ``party`` indexes ``rho.dims``; anything outside ``0..len(dims)-1``
-    raises ValueError, and so does a trace more than NEGATIVITY_TRACE_TOL
-    from one.
+    ``party`` is an integer indexing ``rho.dims``; anything else (a float,
+    or an integer outside ``0..len(dims)-1``) raises ValueError, and so
+    does a trace more than NEGATIVITY_TRACE_TOL from one.
     """
-    _check_party(rho, party)
+    party = _check_party(rho, party)
     _check_normalised("negativity", rho)
-    return float(_negativity(partial_transpose(rho, party).mat))
+    return float(_negativity(rho.mat[None], rho.dims, [party])[0, 0])
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
     """Geometric mean of the three one-versus-rest negativities."""
     if len(rho.dims) != 3:
         raise ValueError("tripartite negativity needs dims (d_A, d_B, d_C)")
-    return float(np.cbrt(np.prod([bipartite_negativity(rho, p) for p in range(3)])))
+    _check_normalised("negativity", rho)
+    return float(np.cbrt(_negativity(rho.mat[None], rho.dims, [0, 1, 2])[0].prod()))
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +400,10 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     one-dimensional party needs nothing more.  Each live sector (every
     local dimension > 1; for three particles at most (1, 1, 1)) builds
     the blocks of up to _EIGENSOLVE_CHUNK of its states above the floor
-    (``_sector_blocks``), gathers their three partial transposes through
-    ``_transpose_index`` and sends them to one eigensolve.  On a batch of
-    one, both give bit for bit what ``project_sector`` and
-    ``bipartite_negativity`` give on the same sector; numpy may order the
+    (``_sector_blocks``) and cuts each of them three ways in one
+    ``_negativity`` call.  On a batch of one, both give bit for bit what
+    ``project_sector``, ``bipartite_negativity`` and
+    ``tripartite_negativity`` give on the same sector; numpy may order the
     sums of a longer batch differently.
     """
     probs = np.zeros((len(states), len(dec.sectors)))
@@ -411,10 +416,8 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
         for lo in range(0, len(rows), _EIGENSOLVE_CHUNK):
             b = rows[lo : lo + _EIGENSOLVE_CHUNK]
             blocks = _sector_blocks(sector, states, b, probs[b, col])
-            transposes = blocks.reshape(len(b), -1)[:, _transpose_index(sector.dims)]
-            cuts = _negativity(transposes.reshape((len(b), 3) + blocks.shape[1:]))
-            negs[b, col, :3] = cuts
-            negs[b, col, 3] = np.cbrt(cuts.prod(axis=-1))
+            cuts = _negativity(blocks, sector.dims, [0, 1, 2])
+            negs[b, col] = np.column_stack([cuts, np.cbrt(cuts.prod(axis=-1))])
     return probs, negs, (probs * negs[..., 3]).sum(axis=1)
 
 
@@ -492,18 +495,19 @@ def _qubit_index(basis: FockBasis, partition: Partition) -> np.ndarray:
     return _read_only(np.where((occ > 1).any(axis=1), -1, flat), np.intp)
 
 
-def mode_qubit_tensor(state: ManyBodyState, partition: Partition) -> np.ndarray:
-    """Map a hard-core state onto the three-party occupation-qubit tensor.
+def mode_qubit_tensor(basis: FockBasis, amps: np.ndarray, partition: Partition) -> np.ndarray:
+    """Map hard-core amplitudes onto three-party occupation-qubit tensors.
 
-    Scatters the amplitudes through the cached ``_qubit_index``, so each
-    party of m modes is a 2^m-level subsystem.  Fails if any ket with
-    more than one particle in a mode carries amplitude.
+    Scatters a (..., n) stack of amplitude vectors on ``basis`` through
+    the cached ``_qubit_index`` into (..., d, d, d) tensors, so each party
+    of m modes is a d = 2^m-level subsystem.  Fails if any ket with more
+    than one particle in a mode carries amplitude in any row.
     """
-    index = _qubit_index(state.basis, partition)
-    if state.amp[index < 0].any():
+    index = _qubit_index(basis, partition)
+    if amps[..., index < 0].any():
         raise ValueError("occupation-qubit mapping needs occupations of at most one")
-    psi = np.zeros((2 ** len(partition.a),) * 3, dtype=complex)
-    psi.flat[index[index >= 0]] = state.amp[index >= 0]
+    psi = np.zeros(amps.shape[:-1] + (2 ** len(partition.a),) * 3, dtype=complex)
+    psi.reshape(amps.shape[:-1] + (-1,))[..., index[index >= 0]] = amps[..., index >= 0]
     return psi
 
 
@@ -571,6 +575,6 @@ def geometric_measure(state: ManyBodyState, partition: Partition) -> float:
     """
     if not isinstance(state, ManyBodyState):
         raise ValueError("eps_G is defined for pure states (ManyBodyState) only")
-    psi = mode_qubit_tensor(state, partition)
+    psi = mode_qubit_tensor(state.basis, state.amp, partition)
     _check_normalised("eps_G", state)
     return float(_geometric_kernel(psi))

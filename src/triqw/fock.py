@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -66,17 +67,6 @@ def _occupations(init, n_modes=None, stats=None) -> tuple[int, ...]:
     return init
 
 
-def _occupation_vectors(n_modes: int, n_particles: int, cap: int):
-    """Yield occupation tuples in lexicographically ascending order."""
-    if n_modes == 1:
-        if n_particles <= cap:
-            yield (n_particles,)
-        return
-    for first in range(min(cap, n_particles) + 1):
-        for rest in _occupation_vectors(n_modes - 1, n_particles - first, cap):
-            yield (first,) + rest
-
-
 class FockBasis:
     """Complete N-particle basis on L modes for one statistics.
 
@@ -95,9 +85,11 @@ class FockBasis:
         self.n_particles = n_particles
         self.n_modes = n_modes
         self.stats = stats
-        cap = 1 if stats.exclusive else n_particles
+        # One state per multiset of occupied modes (per set, for fermions).
+        pick = itertools.combinations if stats.exclusive else itertools.combinations_with_replacement
+        occupied = pick(range(n_modes), n_particles)
         self.states: tuple[tuple[int, ...], ...] = tuple(
-            _occupation_vectors(n_modes, n_particles, cap)
+            sorted(tuple(map(modes.count, range(n_modes))) for modes in occupied)
         )
         self._index = {occ: i for i, occ in enumerate(self.states)}
 

@@ -3,14 +3,14 @@
 Each scan returns plain arrays; serialization stays in the CLI.  The scans
 call the same batched kernels as the per-state measures: the phase-grid
 scan passes each alpha row (one ``phi_weights`` call, scattered into
-tensors through ``_qubit_index``) to the ``eps_T`` and ``eps_G`` kernels,
-and the walk passes all its time samples to the ``eps_T`` kernel in one
-call.  Both take the shared sector decomposition of their basis and partition.
-Sample counts are capped (MAX_GRID_STEPS per phase axis,
-MAX_TIME_SAMPLES per walk) because memory grows with them; larger
-requests are rejected before anything is allocated.  The walk and the
-snapshot check their initial occupation through ``fock._occupations``
-before they build anything from it.
+tensors by ``mode_qubit_tensor`` as ``geometric_measure`` does) to the
+``eps_T`` and ``eps_G`` kernels, and the walk passes all its time samples
+to the ``eps_T`` kernel in one call.  Both take the shared sector
+decomposition of their basis and partition.  Sample counts are capped
+(MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
+memory grows with them; larger requests are rejected before anything is
+allocated.  The walk and the snapshot check their initial occupation
+through ``fock._occupations`` before they build anything from it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .entanglement import (
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
-    _qubit_index,
+    mode_qubit_tensor,
 )
 from .fock import Statistics, _occupations, enumerate_basis
 from .observables import (
@@ -86,7 +86,6 @@ def phi_scan(
     alpha_steps = _sample_count(alpha_steps, MAX_GRID_STEPS, "grid steps per axis")
     beta_steps = _sample_count(beta_steps, MAX_GRID_STEPS, "grid steps per axis")
     basis = phi_basis()
-    index = _qubit_index(basis, partition)
     dec = _decomposition(basis, partition)
     kets = [basis.index(ket) for ket in PHI_KETS]
     alphas = np.linspace(0.0, math.pi, alpha_steps)
@@ -97,9 +96,7 @@ def phi_scan(
     for i, alpha in enumerate(alphas):
         amps = np.zeros((beta_steps, len(basis)), dtype=complex)
         amps[:, kets] = phi_weights(alpha, betas)
-        tensors = np.zeros((beta_steps,) + (2 ** len(partition.a),) * 3, dtype=complex)
-        tensors.reshape(beta_steps, -1)[:, index] = amps
-        eps_g[i] = _geometric_kernel(tensors)
+        eps_g[i] = _geometric_kernel(mode_qubit_tensor(basis, amps, partition))
         eps_t[i] = _eps_t_kernel(dec, amps)[2]
     return PhiScan(alphas, betas, eps_t, eps_g)
 

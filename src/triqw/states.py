@@ -27,13 +27,9 @@ PHI_KETS = (
 )
 
 
-def chi_basis() -> FockBasis:
-    return enumerate_basis(1, 3, Statistics.BOSONS)
-
-
-def chi_state(basis: FockBasis | None = None) -> ManyBodyState:
+def chi_state() -> ManyBodyState:
     """Equal superposition of one particle over three modes."""
-    basis = basis or chi_basis()
+    basis = enumerate_basis(1, 3, Statistics.BOSONS)
     return ManyBodyState(basis, np.full(3, 1.0 / math.sqrt(3.0), dtype=complex))
 
 
@@ -50,14 +46,14 @@ def phi_weights(alpha: float, beta) -> np.ndarray:
     return np.stack([cos * np.cos(beta), cos * np.sin(beta), s, s], axis=-1).astype(complex)
 
 
-def phi_state(alpha: float, beta: float, basis: FockBasis | None = None) -> ManyBodyState:
+def phi_state(alpha: float, beta: float) -> ManyBodyState:
     """Two-phase family of three-fermion states on six modes.
 
     Interpolates between the two alternating-occupation kets and the
     pair of half-filled blocks; alpha = 0 with beta = pi/4 gives a GHZ
     state with one particle per adjacent two-mode party.
     """
-    basis = basis or phi_basis()
+    basis = phi_basis()
     amp = np.zeros(len(basis), dtype=complex)
     amp[[basis.index(ket) for ket in PHI_KETS]] = phi_weights(alpha, beta)
     return ManyBodyState(basis, amp)

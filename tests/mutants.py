@@ -62,8 +62,32 @@ MUTANTS = [
     (
         "tpn-arithmetic-mean",
         "entanglement.py",
-        "negs[b, col, 3] = np.cbrt(cuts.prod(axis=-1))",
-        "negs[b, col, 3] = cuts.mean(axis=-1)",
+        "negs[b, col] = np.column_stack([cuts, np.cbrt(cuts.prod(axis=-1))])",
+        "negs[b, col] = np.column_stack([cuts, cuts.mean(axis=-1)])",
+    ),
+    (
+        "public-tpn-arithmetic-mean",
+        "entanglement.py",
+        "np.cbrt(_negativity(rho.mat[None], rho.dims, [0, 1, 2])[0].prod())",
+        "_negativity(rho.mat[None], rho.dims, [0, 1, 2])[0].mean()",
+    ),
+    (
+        "party-float-truncated",
+        "entanglement.py",
+        "(party,) = _integers((party,), message)",
+        "party = int(party)",
+    ),
+    (
+        "qubit-scatter-last-row-only",
+        "entanglement.py",
+        "= amps[..., index >= 0]",
+        "= amps.reshape(-1, amps.shape[-1])[-1, index >= 0]",
+    ),
+    (
+        "qubit-check-first-row-only",
+        "entanglement.py",
+        "if amps[..., index < 0].any():",
+        "if amps.reshape(-1, amps.shape[-1])[0, index < 0].any():",
     ),
     (
         "fermion-creation-sign-dropped",
@@ -96,6 +120,12 @@ MUTANTS = [
         "fock.py",
         "any(v < low for v in checked)",
         "any(v < 0 for v in checked)",
+    ),
+    (
+        "evolve-basis-stats-unchecked",
+        "dynamics.py",
+        "(basis.n_particles, basis.n_modes, basis.stats) != shape",
+        "(basis.n_particles, basis.n_modes) != shape[:2]",
     ),
     (
         "fermions-share-a-site",

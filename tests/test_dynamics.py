@@ -226,6 +226,8 @@ def test_evolve_state_and_walk_scan_reject_bad_init(init):
     with pytest.raises(ValueError, match=message):
         evolve_state(init, LatticeParams(6), 1.0, BOS)
     with pytest.raises(ValueError, match=message):
+        evolve_state(init, LatticeParams(6), 1.0, BOS, basis=enumerate_basis(3, 6, BOS))
+    with pytest.raises(ValueError, match=message):
         walk_scan(BOS, init=init, steps=2)
 
 
@@ -247,3 +249,20 @@ def test_lattice_params_rejects_non_integer_mode_count(n_modes):
 def test_lattice_params_rejects_non_finite_energies(kwargs):
     with pytest.raises(ValueError, match="finite"):
         LatticeParams(6, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        enumerate_basis(3, 6, FER),
+        enumerate_basis(3, 5, BOS),
+        enumerate_basis(2, 6, BOS),
+    ],
+    ids=["stats", "modes", "particles"],
+)
+def test_evolve_state_rejects_a_mismatched_basis(basis):
+    # a fermion basis used to give the fermionic state for bosons, and a
+    # five-mode basis failed with "coefficient matrix must be L x L"
+    with pytest.raises(ValueError, match="does not match N=3, L=6, bosons"):
+        evolve_state((1, 1, 1, 0, 0, 0), LatticeParams(6), 1.0, BOS, basis=basis)
+

@@ -326,11 +326,20 @@ class TestNegativities:
         with pytest.raises(ValueError, match="negativity expects a normalised state, got trace"):
             bipartite_negativity(bad, 0)
 
-    @pytest.mark.parametrize("party", [-1, 3])
+    @pytest.mark.parametrize("party", [-1, 3, 1.0, np.float64(1)], ids=repr)
     def test_party_out_of_range(self, party):
-        # -1 would otherwise index the last party, and 3 numpy's axes
-        with pytest.raises(ValueError, match="out of range"):
-            bipartite_negativity(GHZ, party)
+        # -1 would otherwise index the last party and 3 numpy's axes; a
+        # float raised numpy's IndexError
+        for function in (bipartite_negativity, partial_transpose):
+            with pytest.raises(ValueError, match="out of range"):
+                function(GHZ, party)
+
+    @pytest.mark.parametrize("party", [np.int64(1), True], ids=repr)
+    def test_integer_party_types_agree(self, party):
+        # True failed in a reshape of the transpose gather
+        assert bipartite_negativity(W_STATE, party) == bipartite_negativity(W_STATE, 1)
+        transposed = partial_transpose(W_STATE, 1).mat
+        assert np.array_equal(partial_transpose(W_STATE, party).mat, transposed)
 
     def test_negativity_upper_bound(self):
         # N_{I-JK} <= d_I - 1 on random pure states
@@ -419,8 +428,8 @@ class TestEntanglementOfParticles:
         # classical mixture of the GHZ point and a single-term ket: the
         # totals combine linearly because both live in one sector
         basis = enumerate_basis(3, 6, FER)
-        ghz = phi_state(0.0, math.pi / 4, basis)
-        term = phi_state(0.0, 0.0, basis)
+        ghz = phi_state(0.0, math.pi / 4)
+        term = phi_state(0.0, 0.0)
         mixed = DensityMatrix(
             (len(basis),),
             0.5 * np.outer(ghz.amp, ghz.amp.conj()) + 0.5 * np.outer(term.amp, term.amp.conj()),
@@ -608,6 +617,8 @@ class TestEpsTKernel:
                 for party in range(3):
                     expected = bipartite_negativity(sec.rho, party)
                     assert negs[0, k, party].tobytes() == np.float64(expected).tobytes()
+                expected = tripartite_negativity(sec.rho)
+                assert negs[0, k, 3].tobytes() == np.float64(expected).tobytes()
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -812,7 +823,7 @@ class TestGeometricMeasure:
     def test_matches_marginal_purity_identity(self, seed):
         basis = enumerate_basis(3, 6, FER)
         state = random_state(basis, 100 + seed)
-        psi = mode_qubit_tensor(state, ADJACENT_PARTITION)
+        psi = mode_qubit_tensor(basis, state.amp, ADJACENT_PARTITION)
         direct = float(tensor_norm_squared(psi, su_generators(4)))
         assert direct == pytest.approx(marginal_purity_tensor_norm(psi, 4), abs=1e-10)
 
@@ -904,7 +915,7 @@ class TestGeometricMeasure:
     def test_complex_states_match_generator_contraction(self, state, partition):
         # every production input is real, so only complex amplitudes show a
         # marginal that loses its complex conjugate on the public path
-        psi = mode_qubit_tensor(state, partition)
+        psi = mode_qubit_tensor(state.basis, state.amp, partition)
         reference = eps_g_from_norm(tensor_norm_squared(psi, su_generators(4)), 4)
         assert abs(geometric_measure(state, partition) - reference) <= 1e-10
 
@@ -934,7 +945,27 @@ class TestQubitIndex:
         amp[[max(occ) > 1 for occ in basis.states]] = 0.0
         state = ManyBodyState(basis, amp)
         expected = occupation_qubit_tensor(state, partition.parties)
-        assert np.array_equal(mode_qubit_tensor(state, partition), expected)
+        assert np.array_equal(mode_qubit_tensor(basis, state.amp, partition), expected)
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    def test_stack_matches_single_states(self, stats):
+        basis = enumerate_basis(3, 6, stats)
+        double = np.array([max(occ) > 1 for occ in basis.states])
+        amps = np.stack([random_state(basis, seed).amp for seed in range(5)])
+        amps[:, double] = 0.0
+        stack = mode_qubit_tensor(basis, amps, ALTERNATING_PARTITION)
+        assert stack.shape == (5, 4, 4, 4)
+        for amp, psi in zip(amps, stack):
+            assert np.array_equal(psi, mode_qubit_tensor(basis, amp, ALTERNATING_PARTITION))
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_stack_rejects_double_occupancy_in_any_row(self, row):
+        basis = enumerate_basis(3, 6, BOS)
+        amps = np.zeros((4, len(basis)), dtype=complex)
+        amps[:, basis.index((1, 1, 1, 0, 0, 0))] = 1.0
+        amps[row, basis.index((2, 0, 1, 0, 0, 0))] = 1e-3
+        with pytest.raises(ValueError, match="occupations of at most one"):
+            mode_qubit_tensor(basis, amps, ADJACENT_PARTITION)
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_doubly_occupied_kets_have_no_position(self, stats):
@@ -954,7 +985,7 @@ class TestQubitIndex:
         basis = enumerate_basis(3, 9, FER)
         state = ManyBodyState.basis_ket(basis, (1, 1, 1) + (0,) * 6)
         with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
-            mode_qubit_tensor(state, Partition.parse("1,2,3|4,5,6|7,8,9"))
+            mode_qubit_tensor(basis, state.amp, Partition.parse("1,2,3|4,5,6|7,8,9"))
 
     def test_partition_must_cover_the_basis(self):
         state = chi_state()
