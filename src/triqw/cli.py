@@ -27,7 +27,7 @@ import sys
 
 from .entanglement import Partition
 from .fock import Statistics
-from .scans import chi_report, phi_scan, snapshot, walk_scan
+from .scans import GRID_STEPS, TAU_MAX, TIME_SAMPLES, chi_report, phi_scan, snapshot, walk_scan
 from .states import ADJACENT_PARTITION, CHI_PARTITION
 
 
@@ -104,11 +104,7 @@ def cmd_phi_scan(args) -> None:
 
 def cmd_walk(args) -> None:
     scan = walk_scan(
-        Statistics.from_name(args.stats),
-        Partition.parse(args.partition),
-        tau_max=args.tau_max,
-        steps=args.steps,
-        onsite=args.onsite,
+        Statistics.from_name(args.stats), Partition.parse(args.partition), args.tau_max, args.steps
     )
     header = ["tau", "P111", "N_A-BC", "N_B-AC", "N_C-AB", "TPN", "eps_T"]
     rows = zip(
@@ -118,7 +114,7 @@ def cmd_walk(args) -> None:
 
 
 def cmd_snapshot(args) -> None:
-    record = snapshot(Statistics.from_name(args.stats), args.tau, onsite=args.onsite)
+    record = snapshot(Statistics.from_name(args.stats), args.tau)
     rows = [("rho", str(r), "", v) for r, v in enumerate(record["rho"], start=1)]
     rows += [
         ("Gamma", str(r), str(s), v)
@@ -156,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     chi.set_defaults(func=cmd_chi)
 
     phi = sub.add_parser("phi-scan", help="phase grid of the six-mode fermion family")
-    phi.add_argument("--alpha-steps", type=int, default=101, help="grid points over [0, pi]")
-    phi.add_argument("--beta-steps", type=int, default=101, help="grid points over [0, pi]")
+    phi.add_argument("--alpha-steps", type=int, default=GRID_STEPS, help="grid points over [0, pi]")
+    phi.add_argument("--beta-steps", type=int, default=GRID_STEPS, help="grid points over [0, pi]")
     phi.add_argument(
         "--partition",
         default=str(ADJACENT_PARTITION),
@@ -173,16 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=str(ADJACENT_PARTITION),
         help="two-mode parties, e.g. '1,2|3,4|5,6'",
     )
-    walk.add_argument("--tau-max", type=float, default=20.0, help="end of the time grid")
-    walk.add_argument("--steps", type=int, default=400, help="number of time samples")
-    walk.add_argument("--onsite", type=float, default=0.0, metavar="G", help="on-site energy")
+    walk.add_argument("--tau-max", type=float, default=TAU_MAX, help="end of the time grid")
+    walk.add_argument("--steps", type=int, default=TIME_SAMPLES, help="number of time samples")
     add_io(walk, "csv")
     walk.set_defaults(func=cmd_walk)
 
     snap = sub.add_parser("snapshot", help="observables at a single time")
     snap.add_argument("--stats", choices=("bosons", "fermions"), default="fermions")
     snap.add_argument("--tau", type=float, default=8.7, help="snapshot time")
-    snap.add_argument("--onsite", type=float, default=0.0, metavar="G", help="on-site energy")
     add_io(snap, "json")
     snap.set_defaults(func=cmd_snapshot)
 

@@ -1,9 +1,9 @@
 """Tight-binding lattice dynamics for the continuous-time quantum walk.
 
-The chain has reflecting boundaries (no 1-L coupling), on-site energy G
-and tunneling rate T.  Time is handled exclusively through the
-dimensionless variable ``tau = t*T/hbar``; G contributes only a global
-phase ``exp(-i*N*G*tau/T)`` to any N-particle state and defaults to 0.
+The chain has reflecting boundaries (no 1-L coupling).  A uniform on-site
+energy G and the hopping amplitude T enter only as the global phase
+``exp(-i*N*G*tau/T)``, so the package fixes G = 0 and measures time as
+``tau = t*T/hbar``: the chain's one parameter is its mode count.
 """
 
 from __future__ import annotations
@@ -27,19 +27,13 @@ from .fock import (
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Chain geometry and energies: L modes, on-site G, tunneling T."""
+    """Chain geometry: L modes."""
 
     n_modes: int
-    onsite: float = 0.0
-    tunneling: float = 1.0
 
     def __post_init__(self):
         (n_modes,) = _integers((self.n_modes,), "mode count must be a positive integer", low=1)
         object.__setattr__(self, "n_modes", n_modes)
-        if not (np.isfinite(self.onsite) and np.isfinite(self.tunneling)):
-            raise ValueError("on-site energy and tunneling rate must be finite")
-        if self.tunneling == 0.0:
-            raise ValueError("tunneling rate must be non-zero")
 
 
 def single_particle_propagator(params: LatticeParams, tau: float) -> np.ndarray:
@@ -48,12 +42,12 @@ def single_particle_propagator(params: LatticeParams, tau: float) -> np.ndarray:
     Returns the (L, L) matrix of transition amplitudes C[r-1, s-1] for
     site s -> r:
 
-    C_rs = (2/(L+1)) exp(-i G tau / T)
-           * sum_k exp(-2 i tau cos(k pi/(L+1))) sin(r k pi/(L+1)) sin(s k pi/(L+1)),
+    C_rs = (2/(L+1)) sum_k exp(-2 i tau cos(k pi/(L+1))) sin(r k pi/(L+1)) sin(s k pi/(L+1)),
 
-    i.e. the sine-basis eigendecomposition of exp(-i H tau / T).  The
-    matrix is unitary and symmetric.  A tau whose phases are not finite
-    (a non-finite tau, or 2 tau or G tau / T overflowing) is rejected.
+    i.e. the sine-basis eigendecomposition of exp(-i H tau) with H the
+    hopping matrix in units of T.  The matrix is unitary and symmetric.
+    A tau whose phases are not finite (a non-finite tau, or 2 tau
+    overflowing) is rejected.
     The cosines and the sine matrix depend only on L, so they are built
     once per L.
     """
@@ -61,13 +55,9 @@ def single_particle_propagator(params: LatticeParams, tau: float) -> np.ndarray:
     cosines, sines = _sine_basis(L)
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-2.0j * tau * cosines)
-        global_phase = np.exp(-1.0j * params.onsite * tau / params.tunneling)
-    if not (np.isfinite(phases).all() and np.isfinite(global_phase)):
-        raise ValueError(
-            f"tau = {float(tau):g} gives non-finite propagator phases "
-            f"(on-site energy {params.onsite:g}, tunneling rate {params.tunneling:g})"
-        )
-    return (2.0 / (L + 1)) * global_phase * (sines * phases) @ sines.T
+    if not np.isfinite(phases).all():
+        raise ValueError(f"tau = {float(tau):g} gives non-finite propagator phases")
+    return (2.0 / (L + 1)) * (sines * phases) @ sines.T
 
 
 @functools.lru_cache(maxsize=64)

@@ -46,9 +46,9 @@ class Statistics(Enum):
 
 def _integers(values, message: str, low: int = 0) -> tuple[int, ...]:
     """``values`` as Python ints of at least ``low``, else ValueError(message):
-    numpy integers pass, floats such as ``1.0`` do not, and none is truncated."""
+    numpy integers pass, bools and floats such as ``1.0`` fail, none is truncated."""
     try:
-        checked = tuple(operator.index(v) for v in values)
+        checked = tuple(operator.index(None if isinstance(v, bool) else v) for v in values)
     except TypeError:
         checked = None
     if checked is None or any(v < low for v in checked):

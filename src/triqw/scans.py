@@ -10,13 +10,14 @@ decomposition of their basis and partition.  Sample counts are capped
 (MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
 memory grows with them; larger requests are rejected before anything is
 allocated.  The walk and the snapshot check their initial occupation
-through ``fock._occupations`` before they build anything from it.
+through ``fock._occupations`` before they build anything from it.  Each
+default (GRID_STEPS, TAU_MAX, TIME_SAMPLES) is named once, here; the CLI
+imports it.  The chain has no energy parameter (see ``dynamics``).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .entanglement import (
     _geometric_kernel,
     mode_qubit_tensor,
 )
-from .fock import Statistics, _occupations, enumerate_basis
+from .fock import Statistics, _integers, _occupations, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
@@ -47,17 +48,19 @@ from .states import (
     phi_weights,
 )
 
+GRID_STEPS = 101
 MAX_GRID_STEPS = 501
+TAU_MAX = 20.0
+TIME_SAMPLES = 400
 MAX_TIME_SAMPLES = 10_000
 
 
 def _sample_count(count, limit: int, what: str) -> int:
-    try:
-        if 2 <= operator.index(count) <= limit:
-            return operator.index(count)
-    except TypeError:
-        pass
-    raise ValueError(f"need between 2 and {limit} {what}, got {count!r}")
+    message = f"need between 2 and {limit} {what}"
+    (count,) = _integers((count,), message, low=2)
+    if count > limit:
+        raise ValueError(f"{message}, got {count!r}")
+    return count
 
 
 def chi_report(partition: Partition = CHI_PARTITION) -> dict[str, float]:
@@ -78,8 +81,8 @@ class PhiScan:
 
 
 def phi_scan(
-    alpha_steps: int = 101,
-    beta_steps: int = 101,
+    alpha_steps: int = GRID_STEPS,
+    beta_steps: int = GRID_STEPS,
     partition: Partition = ADJACENT_PARTITION,
 ) -> PhiScan:
     """Both measures for the two-phase fermion family on a phase grid."""
@@ -115,9 +118,8 @@ class WalkScan:
 def walk_scan(
     stats: Statistics,
     partition: Partition = ADJACENT_PARTITION,
-    tau_max: float = 20.0,
-    steps: int = 400,
-    onsite: float = 0.0,
+    tau_max: float = TAU_MAX,
+    steps: int = TIME_SAMPLES,
     init=WALK_INIT,
 ) -> WalkScan:
     """Entanglement time series of the three-particle walk.
@@ -132,7 +134,7 @@ def walk_scan(
     if not math.isfinite(tau_max):
         raise ValueError("tau_max must be finite")
     init = _occupations(init, stats=stats)
-    params = LatticeParams(len(init), onsite=onsite)
+    params = LatticeParams(len(init))
     basis = enumerate_basis(sum(init), len(init), stats)
     dec = _decomposition(basis, partition)
     taus = np.linspace(0.0, tau_max, steps)
@@ -147,13 +149,10 @@ def walk_scan(
     return WalkScan(taus, *single.T, eps_t)
 
 
-def snapshot(
-    stats: Statistics, tau: float, onsite: float = 0.0, init=WALK_INIT
-) -> dict:
+def snapshot(stats: Statistics, tau: float, init=WALK_INIT) -> dict:
     """Density, pair-correlation matrix and distance histogram at one time."""
     init = _occupations(init, stats=stats)
-    params = LatticeParams(len(init), onsite=onsite)
-    prop = single_particle_propagator(params, tau)
+    prop = single_particle_propagator(LatticeParams(len(init)), tau)
     gamma = two_particle_correlation(prop, init, stats)
     return {
         "tau": float(tau),

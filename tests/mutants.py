@@ -34,12 +34,6 @@ from pathlib import Path
 
 # (name, file under src/triqw, original text, mutated text)
 MUTANTS = [
-    (
-        "onsite-phase-sign",
-        "dynamics.py",
-        "np.exp(-1.0j * params.onsite * tau / params.tunneling)",
-        "np.exp(1.0j * params.onsite * tau / params.tunneling)",
-    ),
     ("boson-bunching-dropped", "observables.py", "bunching = n * (n - 1.0)", "bunching = 0.0 * n"),
     (
         "probability-floor-1e-8",
@@ -127,6 +121,13 @@ MUTANTS = [
         "(basis.n_particles, basis.n_modes, basis.stats) != shape",
         "(basis.n_particles, basis.n_modes) != shape[:2]",
     ),
+    (
+        "integers-accept-bool",
+        "fock.py",
+        "operator.index(None if isinstance(v, bool) else v)",
+        "operator.index(v)",
+    ),
+    ("walk-default-steps", "scans.py", "TIME_SAMPLES = 400", "TIME_SAMPLES = 401"),
     (
         "fermions-share-a-site",
         "fock.py",

@@ -192,14 +192,14 @@ def apply_annihilation(occ, mode: int, stats: Statistics):
 
 
 def many_body_hamiltonian(basis: FockBasis, params: LatticeParams) -> np.ndarray:
-    """Assemble G sum_i c_i^+ c_i + T sum_i (c_i^+ c_{i+1} + h.c.) on the basis."""
+    """Assemble sum_i (c_i^+ c_{i+1} + h.c.) on the basis: the hopping term in
+    units of T, with the on-site energy G = 0 as in the package."""
     if basis.n_modes != params.n_modes:
         raise ValueError("basis and lattice mode counts differ")
     L = basis.n_modes
     dim = len(basis)
     ham = np.zeros((dim, dim), dtype=complex)
     for col, occ in enumerate(basis.states):
-        ham[col, col] += params.onsite * sum(occ)
         for i in range(1, L):
             for dst, src in ((i, i + 1), (i + 1, i)):
                 res = apply_annihilation(occ, src, basis.stats)
@@ -210,7 +210,7 @@ def many_body_hamiltonian(basis: FockBasis, params: LatticeParams) -> np.ndarray
                 if res is None:
                     continue
                 f2, occ2 = res
-                ham[basis.index(occ2), col] += params.tunneling * f1 * f2
+                ham[basis.index(occ2), col] += f1 * f2
     return ham
 
 
@@ -221,7 +221,7 @@ def evolve_state_oracle(
     stats: Statistics,
     basis: FockBasis | None = None,
 ) -> ManyBodyState:
-    """Independent verification path: dense exp(-i H tau / T) |init>.
+    """Independent verification path: dense exp(-i H tau) |init>.
 
     Uses the eigendecomposition of the full many-body Hamiltonian and no
     propagator shortcut, guarded to Fock dimensions <= 1000.
@@ -235,7 +235,7 @@ def evolve_state_oracle(
     evals, evecs = np.linalg.eigh(ham)
     start = np.zeros(len(basis), dtype=complex)
     start[basis.index(init)] = 1.0
-    phases = np.exp(-1.0j * evals * tau / params.tunneling)
+    phases = np.exp(-1.0j * evals * tau)
     amp = evecs @ (phases * (evecs.conj().T @ start))
     return ManyBodyState(basis, amp)
 

@@ -1,8 +1,10 @@
-"""Line counts of the ``triqw`` package: total and code lines per module.
+"""Size of the ``triqw`` package: total and code lines per module, and public names.
 
 A code line is a line that is not blank, not a comment and not part of a
-docstring (the module's, a class's or a function's).  Not collected by
-pytest (the name does not match ``test_*.py``).
+docstring (the module's, a class's or a function's).  The last line is
+the number of names in ``triqw.__all__``, read from the package's
+``__init__.py`` without importing it.  Not collected by pytest (the name
+does not match ``test_*.py``).
 
 Usage: python tests/src_lines.py [--src DIR]
 """
@@ -35,6 +37,16 @@ def code_lines(text: str) -> int:
     return len(code - docstrings)
 
 
+def public_names(init: Path) -> list[str]:
+    """The literal ``__all__`` list assigned in a package's ``__init__.py``."""
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise ValueError(f"{init} assigns no __all__")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     default = Path(__file__).resolve().parents[1] / "src" / "triqw"
@@ -48,6 +60,7 @@ def main(argv=None) -> int:
         total, code = total + lines, code + n_code
         print(f"{path.name:20} {lines:6} {n_code:6}")
     print(f"{'total':20} {total:6} {code:6}")
+    print(f"{'__all__ names':20} {len(public_names(args.src / '__init__.py')):6}")
     return 0
 
 

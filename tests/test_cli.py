@@ -91,6 +91,12 @@ class TestPhiScanCommand:
         assert_config_error(capsys, "phi-scan", "--beta-steps", "1")
         assert_config_error(capsys, "phi-scan", "--alpha-steps", str(MAX_GRID_STEPS + 1))
         assert_config_error(capsys, "phi-scan", "--beta-steps", str(MAX_GRID_STEPS + 1))
+        assert_config_error(capsys, "phi-scan", "--alpha-steps", "502")
+
+    def test_grid_cap_is_501_steps(self, capsys):
+        code, out = run_cli(capsys, "phi-scan", "--alpha-steps", "501", "--beta-steps", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 501 * 2
 
     def test_unequal_party_sizes_exit_two(self, capsys):
         assert_config_error(capsys, "phi-scan", "--partition", "1,2,3|4,5|6")
@@ -121,16 +127,6 @@ class TestWalkCommand:
         assert main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_onsite_energy_does_not_change_entanglement(self, capsys):
-        _, base = run_cli(capsys, "walk", "--steps", "12", "--tau-max", "6")
-        _, shifted = run_cli(
-            capsys, "walk", "--steps", "12", "--tau-max", "6", "--onsite", "4.2",
-        )
-        for row_a, row_b in zip(base.splitlines()[1:], shifted.splitlines()[1:]):
-            vals_a = [float(tok) for tok in row_a.split(",")]
-            vals_b = [float(tok) for tok in row_b.split(",")]
-            assert vals_a == pytest.approx(vals_b, abs=1e-10)
-
     def test_bad_partition_exits_two(self, capsys):
         code, _ = run_cli(capsys, "walk", "--partition", "1,2|3,4")
         assert code == 2
@@ -144,9 +140,7 @@ class TestWalkCommand:
         assert code == 2
         assert_config_error(capsys, "walk", "--steps", "1")
         assert_config_error(capsys, "walk", "--steps", str(MAX_TIME_SAMPLES + 1))
-
-    def test_non_finite_onsite_exits_two(self, capsys):
-        assert_config_error(capsys, "walk", "--onsite", "nan")
+        assert_config_error(capsys, "walk", "--steps", "10001")
 
     @pytest.mark.parametrize("tau_max", ["inf", "1e308"])
     def test_non_finite_or_overflowing_tau_exits_two(self, capsys, tau_max):
@@ -180,9 +174,6 @@ class TestSnapshotCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 6 + 36 + 6
 
-    def test_infinite_onsite_exits_two(self, capsys):
-        assert_config_error(capsys, "snapshot", "--onsite", "inf")
-
     def test_overflowing_tau_exits_two(self, capsys):
         assert "tau" in assert_config_error(
             capsys, "snapshot", "--tau", "1e308", "--format", "csv"
@@ -207,6 +198,15 @@ class TestSnapshotCommand:
         r, s = np.unravel_index(np.argmax(gamma), gamma.shape)
         assert r + 1 <= 3 and s + 1 <= 3
         assert abs(int(r) - int(s)) == 1
+
+
+@pytest.mark.parametrize("command", ["walk", "snapshot"])
+def test_onsite_option_is_gone(capsys, command):
+    # the on-site energy G only sets a global phase, so there is no option for it
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--onsite", "0"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --onsite 0" in capsys.readouterr().err
 
 
 def _fmt(value: float) -> str:
@@ -241,12 +241,12 @@ def expected_table(command):
         columns = (scan.taus, scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn, scan.eps_t)
         argv = ["walk", "--stats", "bosons", "--tau-max", "3", "--steps", "5"]
         return argv, header, list(zip(*columns)), None
-    record = snapshot(Statistics.BOSONS, 2.5, onsite=1.0)
+    record = snapshot(Statistics.BOSONS, 2.5)
     rows = [("rho", str(r + 1), "", v) for r, v in enumerate(record["rho"])]
     for r, line in enumerate(record["Gamma"]):
         rows += [("Gamma", str(r + 1), str(s + 1), v) for s, v in enumerate(line)]
     rows += [("g", str(delta), "", v) for delta, v in enumerate(record["g"])]
-    argv = ["snapshot", "--stats", "bosons", "--tau", "2.5", "--onsite", "1"]
+    argv = ["snapshot", "--stats", "bosons", "--tau", "2.5"]
     return argv, ["quantity", "r", "s", "value"], rows, record
 
 
@@ -365,8 +365,11 @@ class TestScanInternals:
             lambda: phi_scan(2.5, 5),
             lambda: phi_scan(5, 2.5),
             lambda: phi_scan("5", 5),
+            lambda: phi_scan(True, 5),
+            lambda: phi_scan(5, False),
             lambda: walk_scan(Statistics.FERMIONS, steps=2.5),
             lambda: walk_scan(Statistics.BOSONS, steps=None),
+            lambda: walk_scan(Statistics.BOSONS, steps=True),
         ],
     )
     def test_scan_counts_must_be_integers(self, scan):
@@ -376,6 +379,18 @@ class TestScanInternals:
     def test_scan_counts_accept_numpy_integers(self):
         assert phi_scan(np.int64(2), np.int32(3)).eps_t.shape == (2, 3)
         assert walk_scan(Statistics.BOSONS, tau_max=1.0, steps=np.int64(2)).taus.shape == (2,)
+
+    @pytest.mark.parametrize("stats", [Statistics.BOSONS, Statistics.FERMIONS])
+    def test_two_particle_walk_has_no_single_occupancy_sector(self, stats):
+        scan = walk_scan(stats, steps=40, init=(1, 1, 0, 0, 0, 0))
+        assert scan.taus.shape == (40,)
+        assert not scan.p111.any()
+        assert not scan.eps_t.any()
+
+    def test_time_sample_cap_is_10000(self):
+        # a one-particle walk is cheap enough to run at the cap
+        scan = walk_scan(Statistics.FERMIONS, steps=10_000, init=(1, 0, 0, 0, 0, 0))
+        assert scan.taus.shape == (10_000,)
 
     def test_walk_scan_total_matches_sector_product(self):
         scan = walk_scan(Statistics.FERMIONS, ADJACENT_PARTITION, tau_max=5, steps=11)

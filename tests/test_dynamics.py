@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 from oracles import evolve_state_oracle, many_body_hamiltonian
 from triqw import (
+    ADJACENT_PARTITION,
+    ALTERNATING_PARTITION,
     LatticeParams,
+    ManyBodyState,
     Statistics,
+    entanglement_of_particles,
     enumerate_basis,
     evolve_state,
+    geometric_measure,
+    single_particle_density,
     single_particle_propagator,
+    snapshot,
+    two_particle_correlation,
     walk_scan,
 )
 from triqw.dynamics import _sine_basis
@@ -22,16 +30,15 @@ FER = Statistics.FERMIONS
 
 
 def hopping_matrix(params: LatticeParams) -> np.ndarray:
-    """Single-particle Hamiltonian assembled directly, no sine basis."""
-    L = params.n_modes
-    mat = params.onsite * np.eye(L)
-    off = params.tunneling * np.ones(L - 1)
-    return mat + np.diag(off, 1) + np.diag(off, -1)
+    """Single-particle hopping matrix (units of T, G = 0) assembled directly,
+    no sine basis."""
+    off = np.ones(params.n_modes - 1)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def propagator_by_eigendecomposition(params: LatticeParams, tau: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(hopping_matrix(params))
-    return evecs @ np.diag(np.exp(-1j * evals * tau / params.tunneling)) @ evecs.conj().T
+    return evecs @ np.diag(np.exp(-1j * evals * tau)) @ evecs.conj().T
 
 
 class TestPropagator:
@@ -46,12 +53,6 @@ class TestPropagator:
         prop = single_particle_propagator(params, tau)
         ref = propagator_by_eigendecomposition(params, tau)
         assert np.abs(prop - ref).max() <= 1e-12
-
-    def test_onsite_energy_only_adds_global_phase(self):
-        plain = single_particle_propagator(LatticeParams(6), 1.7)
-        shifted = single_particle_propagator(LatticeParams(6, onsite=2.5), 1.7)
-        phase = np.exp(-1j * 2.5 * 1.7)
-        assert np.abs(shifted - phase * plain).max() <= 1e-12
 
     def test_unitary_and_symmetric(self):
         rng = np.random.default_rng(7)
@@ -74,26 +75,17 @@ class TestPropagator:
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             single_particle_propagator(LatticeParams(6), float("nan"))
-        # finite times whose phases overflow: 2 tau, and G tau / T
-        for params, tau in ((LatticeParams(6), 1e308), (LatticeParams(6, onsite=1e308), 10.0)):
-            with pytest.raises(ValueError, match="tau"):
-                single_particle_propagator(params, tau)
+        # a finite time whose phases overflow: 2 tau
+        with pytest.raises(ValueError, match="tau"):
+            single_particle_propagator(LatticeParams(6), 1e308)
 
 
 class TestManyBodyHamiltonian:
     def test_single_particle_two_modes(self):
-        params = LatticeParams(2, onsite=0.0, tunneling=0.8)
         basis = enumerate_basis(1, 2, BOS)
-        ham = many_body_hamiltonian(basis, params)
+        ham = many_body_hamiltonian(basis, LatticeParams(2))
         # basis order: (0,1), (1,0)
-        assert np.abs(ham - np.array([[0.0, 0.8], [0.8, 0.0]])).max() <= 1e-15
-
-    @pytest.mark.parametrize("stats", [BOS, FER])
-    def test_diagonal_is_onsite_times_particle_number(self, stats):
-        params = LatticeParams(4, onsite=1.3)
-        basis = enumerate_basis(3, 4, stats)
-        ham = many_body_hamiltonian(basis, params)
-        assert np.abs(np.diag(ham) - 3 * 1.3).max() <= 1e-12
+        assert np.abs(ham - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-15
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_hermitian(self, stats):
@@ -102,8 +94,8 @@ class TestManyBodyHamiltonian:
 
     def test_free_fermion_spectrum(self):
         # brute-force oracle: eigenvalues are all 3-subset sums of the
-        # single-particle energies G + 2T cos(k pi / 7)
-        params = LatticeParams(6, onsite=0.4, tunneling=1.1)
+        # single-particle energies 2 cos(k pi / 7)
+        params = LatticeParams(6)
         ham = many_body_hamiltonian(enumerate_basis(3, 6, FER), params)
         single = np.linalg.eigvalsh(hopping_matrix(params))
         sums = sorted(sum(trip) for trip in itertools.combinations(single, 3))
@@ -213,8 +205,6 @@ class TestEvolution:
 def test_lattice_params_validation():
     with pytest.raises(ValueError):
         LatticeParams(0)
-    with pytest.raises(ValueError):
-        LatticeParams(6, tunneling=0.0)
 
 
 @pytest.mark.parametrize(
@@ -231,24 +221,49 @@ def test_evolve_state_and_walk_scan_reject_bad_init(init):
         walk_scan(BOS, init=init, steps=2)
 
 
-@pytest.mark.parametrize("n_modes", [2.5, 6.0, "6", None])
+@pytest.mark.parametrize("n_modes", [2.5, 6.0, "6", None, True])
 def test_lattice_params_rejects_non_integer_mode_count(n_modes):
     with pytest.raises(ValueError, match="integer"):
         LatticeParams(n_modes)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"tunneling": math.nan},
-        {"tunneling": math.inf},
-        {"onsite": math.nan},
-        {"onsite": -math.inf},
-    ],
+def test_the_chain_has_no_energy_parameters():
+    # G and T only set a global phase, so no entry point takes them
+    with pytest.raises(TypeError):
+        LatticeParams(6, onsite=1.0)
+    with pytest.raises(TypeError):
+        walk_scan(FER, steps=2, onsite=1.0)
+    with pytest.raises(TypeError):
+        snapshot(FER, 1.0, onsite=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stats=st.sampled_from([BOS, FER]),
+    partition=st.sampled_from([ADJACENT_PARTITION, ALTERNATING_PARTITION]),
+    tau=st.floats(0.0, 20.0),
+    theta=st.floats(-math.pi, math.pi),
 )
-def test_lattice_params_rejects_non_finite_energies(kwargs):
-    with pytest.raises(ValueError, match="finite"):
-        LatticeParams(6, **kwargs)
+def test_a_global_phase_changes_no_reported_quantity(stats, partition, tau, theta):
+    """An on-site energy G multiplies C by exp(-i G tau) and the state by
+    exp(-i N G tau): eps_T, eps_G, rho and Gamma are blind to either phase."""
+    phase = np.exp(1j * theta)
+    state = evolve_state(INIT, LatticeParams(6), tau, stats)
+    shifted = ManyBodyState(state.basis, phase * state.amp)
+    plain, moved = (entanglement_of_particles(s, partition) for s in (state, shifted))
+    assert abs(plain.eps_t - moved.eps_t) <= 1e-12
+    assert [rec.counts for rec in plain.sectors] == [rec.counts for rec in moved.sectors]
+    for a, b in zip(plain.sectors, moved.sectors):
+        assert np.abs(np.array(a[1:]) - np.array(b[1:])).max() <= 1e-12
+    if stats is FER:  # eps_G needs at most one particle per mode
+        eps_g = [geometric_measure(s, partition) for s in (state, shifted)]
+        assert abs(eps_g[0] - eps_g[1]) <= 1e-12
+    prop = single_particle_propagator(LatticeParams(6), tau)
+    for observable in (
+        lambda c: single_particle_density(c, INIT),
+        lambda c: two_particle_correlation(c, INIT, stats),
+    ):
+        assert np.abs(observable(prop) - observable(phase * prop)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,7 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition.parse("1,2|3,4|5,7").validate_cover(6)
 
-    @pytest.mark.parametrize("mode", [6.7, 6.0, "6"])
+    @pytest.mark.parametrize("mode", [6.7, 6.0, "6", True])
     def test_rejects_non_integer_modes(self, mode):
         with pytest.raises(ValueError, match="integers"):
             Partition((1, 2), (3, 4), (5, mode))
@@ -136,13 +136,15 @@ class TestSectorProjection:
         sec = project_sector(phi_state(0.3, 0.7), ADJACENT_PARTITION, (3, 0, 0))
         assert sec.prob == 0.0
         assert sec.rho is None
+        assert sec.dims == (0, 0, 0)
 
     def test_counts_must_sum_to_particle_number(self):
         with pytest.raises(ValueError):
             project_sector(chi_state(), CHI_PARTITION, (1, 1, 0))
 
     @pytest.mark.parametrize(
-        "counts", [(1, 2), (4, -1, 0), (1, 1, 1, 0), (), (1.5, 1.5, 0.0), ("3", "0", "0")]
+        "counts",
+        [(1, 2), (4, -1, 0), (1, 1, 1, 0), (), (1.5, 1.5, 0.0), ("3", "0", "0"), (True, 1, 1)],
     )
     def test_counts_must_be_three_non_negative_integers(self, counts):
         # (1, 2) and (4, -1, 0) sum to N=3, so only the shape check rejects them
@@ -326,17 +328,16 @@ class TestNegativities:
         with pytest.raises(ValueError, match="negativity expects a normalised state, got trace"):
             bipartite_negativity(bad, 0)
 
-    @pytest.mark.parametrize("party", [-1, 3, 1.0, np.float64(1)], ids=repr)
+    @pytest.mark.parametrize("party", [-1, 3, 1.0, np.float64(1), True], ids=repr)
     def test_party_out_of_range(self, party):
         # -1 would otherwise index the last party and 3 numpy's axes; a
-        # float raised numpy's IndexError
+        # float raised numpy's IndexError, and True was taken as party 1
         for function in (bipartite_negativity, partial_transpose):
             with pytest.raises(ValueError, match="out of range"):
                 function(GHZ, party)
 
-    @pytest.mark.parametrize("party", [np.int64(1), True], ids=repr)
+    @pytest.mark.parametrize("party", [np.int64(1)], ids=repr)
     def test_integer_party_types_agree(self, party):
-        # True failed in a reshape of the transpose gather
         assert bipartite_negativity(W_STATE, party) == bipartite_negativity(W_STATE, 1)
         transposed = partial_transpose(W_STATE, 1).mat
         assert np.array_equal(partial_transpose(W_STATE, party).mat, transposed)
@@ -381,6 +382,13 @@ class TestEntanglementOfParticles:
         report = entanglement_of_particles(phi_state(alpha, beta), ADJACENT_PARTITION)
         expected = math.cos(alpha) ** 2 * abs(math.sin(2.0 * beta))
         assert report.eps_t == pytest.approx(expected, abs=1e-12)
+
+    def test_report_lists_only_sectors_with_weight(self):
+        # the adjacent partition has seven sectors for three fermions; a basis
+        # ket has weight in one of them
+        state = ManyBodyState.basis_ket(enumerate_basis(3, 6, FER), (1, 1, 1, 0, 0, 0))
+        report = entanglement_of_particles(state, ADJACENT_PARTITION)
+        assert [(rec.counts, rec.prob) for rec in report.sectors] == [((2, 1, 0), 1.0)]
 
     def test_report_total_matches_sector_sum(self):
         basis = enumerate_basis(3, 6, BOS)

@@ -89,7 +89,9 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_basis(2, 0, BOS)
 
-    @pytest.mark.parametrize("counts", [(2.5, 3), (3, 2.0), ("3", 6), (3, None)])
+    @pytest.mark.parametrize(
+        "counts", [(2.5, 3), (3, 2.0), ("3", 6), (3, None), (True, 3), (1, True)]
+    )
     def test_non_integer_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="must be a (non-negative|positive) integer"):
             enumerate_basis(*counts, BOS)
@@ -98,6 +100,14 @@ class TestEnumeration:
         basis = enumerate_basis(np.int64(3), np.int64(6), FER)
         assert type(basis.n_particles) is int and type(basis.n_modes) is int
         assert basis == enumerate_basis(3, 6, FER)
+
+    @pytest.mark.parametrize(
+        "other",
+        [enumerate_basis(2, 6, FER), enumerate_basis(3, 7, FER), enumerate_basis(3, 6, BOS)],
+        ids=["particles", "modes", "stats"],
+    )
+    def test_bases_differing_in_one_field_are_unequal(self, other):
+        assert enumerate_basis(3, 6, FER) != other
 
     def test_vacuum_basis(self):
         basis = enumerate_basis(0, 4, FER)

@@ -92,6 +92,16 @@ class TestPairCorrelation:
         assert gamma[0, 0] == pytest.approx(2.0, abs=1e-12)  # n (n - 1)
         assert gamma.sum() == pytest.approx(6.0, abs=1e-12)
 
+    def test_bosonic_bunching_term_matches_state_expectation(self):
+        # away from tau = 0, where |C| is 0 or 1, the n (n - 1) term is weighted
+        init = (2, 1, 0, 0, 0, 0)
+        state = evolve_state(init, PARAMS, 3.1, BOS)
+        gamma = two_particle_correlation(prop(3.1), init, BOS)
+        for r in range(1, 7):
+            for s in range(1, 7):
+                direct = expectation_oracle(state, (r, s), (s, r))
+                assert gamma[r - 1, s - 1] == pytest.approx(direct, abs=1e-10)
+
     def test_fermions_reject_multiple_occupancy(self):
         with pytest.raises(ValueError):
             two_particle_correlation(prop(1.0), (2, 1, 0, 0, 0, 0), FER)
