@@ -28,7 +28,7 @@ import sys
 from .entanglement import Partition
 from .fock import Statistics
 from .scans import GRID_STEPS, TAU_MAX, TIME_SAMPLES, chi_report, phi_scan, snapshot, walk_scan
-from .states import ADJACENT_PARTITION, CHI_PARTITION
+from .states import ADJACENT_PARTITION
 
 
 # Items per encoder call of a streamed JSON list: one call per item costs
@@ -85,7 +85,7 @@ def _emit(args, header: list[str], rows, record=None) -> None:
 
 
 def cmd_chi(args) -> None:
-    report = chi_report(Partition.parse(args.partition))
+    report = chi_report()
     _emit(args, ["eps_G", "eps_T"], [(report["eps_G"], report["eps_T"])], report)
 
 
@@ -143,11 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     chi = sub.add_parser("chi", help="measures for the three-mode single-particle state")
-    chi.add_argument(
-        "--partition",
-        default=str(CHI_PARTITION),
-        help="single-mode parties, e.g. '1|2|3'",
-    )
     add_io(chi, "json")
     chi.set_defaults(func=cmd_chi)
 

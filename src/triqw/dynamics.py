@@ -3,7 +3,8 @@
 The chain has reflecting boundaries (no 1-L coupling).  A uniform on-site
 energy G and the hopping amplitude T enter only as the global phase
 ``exp(-i*N*G*tau/T)``, so the package fixes G = 0 and measures time as
-``tau = t*T/hbar``: the chain's one parameter is its mode count.
+``tau = t*T/hbar``: the chain's one parameter is its mode count.  The
+propagator takes one time or an array of them, in one broadcast.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from .fock import (
     FockBasis,
     ManyBodyState,
     Statistics,
-    _integers,
+    _integer,
+    _monomial_amplitudes,
     _occupations,
     _read_only,
-    build_monomial_state,
     enumerate_basis,
 )
 
@@ -32,11 +33,11 @@ class LatticeParams:
     n_modes: int
 
     def __post_init__(self):
-        (n_modes,) = _integers((self.n_modes,), "mode count must be a positive integer", low=1)
+        n_modes = _integer(self.n_modes, "mode count must be a positive integer", low=1)
         object.__setattr__(self, "n_modes", n_modes)
 
 
-def single_particle_propagator(params: LatticeParams, tau: float) -> np.ndarray:
+def single_particle_propagator(params: LatticeParams, tau) -> np.ndarray:
     """Closed-form propagator of the reflecting L-site chain.
 
     Returns the (L, L) matrix of transition amplitudes C[r-1, s-1] for
@@ -46,18 +47,20 @@ def single_particle_propagator(params: LatticeParams, tau: float) -> np.ndarray:
 
     i.e. the sine-basis eigendecomposition of exp(-i H tau) with H the
     hopping matrix in units of T.  The matrix is unitary and symmetric.
-    A tau whose phases are not finite (a non-finite tau, or 2 tau
-    overflowing) is rejected.
-    The cosines and the sine matrix depend only on L, so they are built
-    once per L.
+    An array ``tau`` gives shape ``np.shape(tau) + (L, L)``.  A tau whose
+    phases are not finite (a non-finite tau, or 2 tau overflowing) is
+    rejected; the message names the first.  The cosines and the sine
+    matrix depend only on L, so they are built once per L.
     """
     L = params.n_modes
     cosines, sines = _sine_basis(L)
+    tau = np.asarray(tau, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-2.0j * tau * cosines)
-    if not np.isfinite(phases).all():
-        raise ValueError(f"tau = {float(tau):g} gives non-finite propagator phases")
-    return (2.0 / (L + 1)) * (sines * phases) @ sines.T
+        phases = np.exp(-2.0j * tau[..., None] * cosines)
+    finite = np.isfinite(phases).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"tau = {tau[~finite][0]:g} gives non-finite propagator phases")
+    return (2.0 / (L + 1)) * (sines * phases[..., None, :]) @ sines.T
 
 
 @functools.lru_cache(maxsize=64)
@@ -84,15 +87,11 @@ def evolve_state(
     substitution matrix is the propagator itself (row p holds the
     amplitudes of site p spreading over the lattice); this orientation
     is pinned by agreement with ``evolve_state_oracle`` in
-    ``tests/oracles.py``, the dense ``exp(-iHt)`` reference.  Only the
-    propagator's phases depend on tau: its sine basis and the expansion
-    plan are cached per structure, so repeated calls on one ``basis`` and
-    ``init`` redo only the arithmetic.  Passing ``basis`` also saves its
-    enumeration on every call.  ``init`` needs one non-negative integer per
-    site, at most one per site for fermions, and is checked before
-    anything is built from it; a ``basis`` whose particle number, mode
-    count or statistics differ from ``init``, ``params`` and ``stats``
-    raises ValueError.
+    ``tests/oracles.py``, the dense ``exp(-iHt)`` reference.  The sine
+    basis and the expansion plan are cached, and a passed ``basis`` saves
+    its enumeration.  ``init`` (one non-negative integer per site, at most
+    one for fermions) is checked once, first; a ``basis`` whose particle
+    number, mode count or statistics differ raises ValueError.
     """
     init = _occupations(init, params.n_modes, stats)
     shape = (sum(init), params.n_modes, stats)
@@ -100,4 +99,5 @@ def evolve_state(
         basis = enumerate_basis(*shape)
     elif (basis.n_particles, basis.n_modes, basis.stats) != shape:
         raise ValueError(f"{basis!r} does not match N={shape[0]}, L={shape[1]}, {stats.value}")
-    return build_monomial_state(basis, single_particle_propagator(params, tau), init)
+    coeffs = single_particle_propagator(params, tau)
+    return ManyBodyState(basis, _monomial_amplitudes(basis, init, coeffs))

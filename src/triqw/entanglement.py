@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import DensityMatrix, FockBasis, ManyBodyState, _integers, _read_only
+from .fock import DensityMatrix, FockBasis, ManyBodyState, _integer, _integers, _read_only
 
 PROBABILITY_FLOOR = 1e-14
 NEGATIVITY_TRACE_TOL = 1e-10
@@ -318,10 +318,7 @@ def _transpose_index(dims: tuple[int, ...]) -> np.ndarray:
 
 def _check_party(rho: DensityMatrix, party) -> int:
     message = f"party out of range for dims {rho.dims}: need an integer 0..{len(rho.dims) - 1}"
-    (party,) = _integers((party,), message)
-    if party >= len(rho.dims):
-        raise ValueError(f"{message}, got {party!r}")
-    return party
+    return _integer(party, message, high=len(rho.dims) - 1)
 
 
 def _check_normalised(measure: str, state) -> None:

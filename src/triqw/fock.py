@@ -9,8 +9,10 @@ Conventions used throughout the package:
   kets carrying the usual ``1/sqrt(n_i!)`` normalization.  Under this
   convention ket labels are sign-free and every fermionic sign lives in
   the operator application rules below.
-* ``_integers`` is the package's one integer check of caller input, and
+* ``_integer`` is the package's one integer check of caller input, and
   ``_occupations`` its one check of a walk's initial occupation.
+* ``_monomial_amplitudes`` is the one path to monomial amplitudes: one
+  cached plan per basis and initial occupation, for a stack of matrices.
 """
 
 from __future__ import annotations
@@ -44,16 +46,25 @@ class Statistics(Enum):
             raise ValueError(f"unknown statistics {name!r}; use 'bosons' or 'fermions'")
 
 
-def _integers(values, message: str, low: int = 0) -> tuple[int, ...]:
-    """``values`` as Python ints of at least ``low``, else ValueError(message):
-    numpy integers pass, bools and floats such as ``1.0`` fail, none is truncated."""
+def _integer(value, message: str, low: int = 0, high: int | None = None) -> int:
+    """``value`` as a Python int in ``[low, high]``, else ValueError(message,
+    got value): numpy integers pass, bools and floats such as ``1.0`` fail,
+    none is truncated."""
     try:
-        checked = tuple(operator.index(None if isinstance(v, bool) else v) for v in values)
+        checked = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         checked = None
-    if checked is None or any(v < low for v in checked):
-        raise ValueError(f"{message}, got {values!r}")
+    if checked is None or checked < low or (high is not None and checked > high):
+        raise ValueError(f"{message}, got {value!r}")
     return checked
+
+
+def _integers(values, message: str, low: int = 0) -> tuple[int, ...]:
+    """Each of ``values`` through ``_integer``; the message quotes them all."""
+    try:
+        return tuple(_integer(v, message, low) for v in values)
+    except (TypeError, ValueError):
+        raise ValueError(f"{message}, got {values!r}") from None
 
 
 def _occupations(init, n_modes=None, stats=None) -> tuple[int, ...]:
@@ -76,8 +87,8 @@ class FockBasis:
     """
 
     def __init__(self, n_particles: int, n_modes: int, stats: Statistics):
-        (n_particles,) = _integers((n_particles,), "particle count must be a non-negative integer")
-        (n_modes,) = _integers((n_modes,), "mode count must be a positive integer", low=1)
+        n_particles = _integer(n_particles, "particle count must be a non-negative integer")
+        n_modes = _integer(n_modes, "mode count must be a positive integer", low=1)
         if stats.exclusive and n_particles > n_modes:
             raise ValueError(
                 f"no fermionic states with {n_particles} particles on {n_modes} modes"
@@ -176,7 +187,7 @@ class ManyBodyState:
 
     @classmethod
     def basis_ket(cls, basis: FockBasis, occ) -> "ManyBodyState":
-        amp = np.zeros(len(basis), dtype=complex)
+        amp = np.full(len(basis), 0j)
         amp[basis.index(occ)] = 1.0
         return cls(basis, amp)
 
@@ -217,25 +228,20 @@ class DensityMatrix:
 
 
 @functools.lru_cache(maxsize=64)
-def _expansion_plan(basis: FockBasis, init: tuple[int, ...], zeros: bytes):
-    """Index arrays that expand ``init``'s monomial on ``basis``, for one
-    pattern of exactly zero coefficients.
+def _expansion_plan(basis: FockBasis, init: tuple[int, ...]):
+    """Index arrays that expand ``init``'s monomial on ``basis``.
 
-    ``zeros`` is ``(coeffs[rows] == 0).tobytes()`` for the occupied sites
-    ``rows`` of ``init`` in ascending order.  Runs the expansion loop on
-    symbols only: factors are applied in descending mode order, terms in
-    insertion order, creations in ascending mode order, and a zero
-    coefficient adds no term (which changes the insertion order, hence
-    the key).  Returns ``(steps, positions)``.  Each step is ``(src, col,
-    factor, dst, size)``: term ``j`` of the step adds ``terms[src[j]] *
+    Runs the expansion loop on symbols only: factors are applied in
+    descending mode order, terms in insertion order, creations in
+    ascending mode order, and every coefficient adds a term, zero or not.
+    Returns ``(steps, positions)``.  Each step is ``(src, col, factor,
+    dst, size)``: term ``j`` of the step adds ``terms[src[j]] *
     coeffs.flat[col[j]] * factor[j]`` to new term ``dst[j]`` of ``size``,
     where ``col`` indexes the flattened L x L matrix.  ``positions`` holds
     the basis index of every final term.  All arrays are read-only,
     because plans are shared between calls.
     """
     L = basis.n_modes
-    rows = [p for p in range(L) if init[p]]
-    skip = dict(zip(rows, np.frombuffer(zeros, dtype=bool).reshape(len(rows), L)))
     terms = {(0,) * L: 0}
     steps = []
     for row in range(L - 1, -1, -1):
@@ -245,7 +251,7 @@ def _expansion_plan(basis: FockBasis, init: tuple[int, ...], zeros: bytes):
             for occ, j in terms.items():
                 for i in range(L):
                     created = apply_creation(occ, i + 1, basis.stats)
-                    if created is None or skip[row][i]:
+                    if created is None:
                         continue
                     src.append(j)
                     col.append(row * L + i)
@@ -265,21 +271,12 @@ def _read_only(values, dtype=None) -> np.ndarray:
     return arr
 
 
-def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
-    """Expand a product of dressed creation operators on the basis.
-
-    Builds ``prod_p (sum_s coeffs[p, s] c_s^+)^{n_p} |0> / sqrt(prod_p n_p!)``
-    where ``n_p`` runs over the occupations of ``init`` and the factors
-    are applied in descending mode order so that identity coefficients
-    reproduce ``|init>`` with amplitude one.  The result is normalized
-    whenever the rows of ``coeffs`` for occupied sites are orthonormal
-    (in particular for any unitary ``coeffs``).
-
-    The index structure of the expansion depends only on the basis,
-    ``init`` and which coefficients are exactly zero, so it comes from the
-    cached ``_expansion_plan``; each call only gathers, multiplies and
-    accumulates.  The amplitudes are bit for bit those of the per-term
-    loop ``new[occ2] = new.get(occ2, 0j) + amp * c * factor``:
+def _monomial_amplitudes(basis: FockBasis, init: tuple[int, ...], coeffs: np.ndarray) -> np.ndarray:
+    """``(..., len(basis))`` amplitudes of ``init``'s monomial (checked by the
+    caller) for the ``(..., L, L)`` complex ``coeffs``, one matrix at a time
+    through the cached ``_expansion_plan``: only gathers, multiplies and
+    sums, bit for bit the per-term loop ``new[occ2] = new.get(occ2, 0j) +
+    amp * c * factor``:
 
     * ``amp * c`` is numpy's scalar complex product, written out on real
       and imaginary parts, because the vectorised complex product can
@@ -289,29 +286,40 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
       reaches an amplitude: every sum starts from +0;
     * ``np.bincount`` adds each amplitude's terms in the loop's order.
     """
+    steps, positions = _expansion_plan(basis, init)
+    flat = coeffs.reshape(-1, basis.n_modes**2)
+    norm = math.sqrt(math.prod(math.factorial(n) for n in init))
+    amps = np.full((len(flat), len(basis)), 0j)
+    for mat, amp in zip(flat, amps):
+        re, im = np.array([1.0]), np.array([0.0])  # the vacuum, 1 + 0i
+        for src, col, factor, dst, size in steps:
+            ar, ai = re[src], im[src]
+            c = mat[col]
+            cr, ci = c.real, c.imag
+            pr = (ar * cr - ai * ci) * factor
+            pi = (ar * ci + ai * cr) * factor
+            re = np.bincount(dst, weights=pr, minlength=size)
+            im = np.bincount(dst, weights=pi, minlength=size)
+        values = np.empty(len(re), dtype=complex)
+        values.real, values.imag = re, im
+        amp[positions] = values / norm
+    return amps.reshape(coeffs.shape[:-2] + (len(basis),))
+
+
+def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
+    """Expand a product of dressed creation operators on the basis.
+
+    Builds ``prod_p (sum_s coeffs[p, s] c_s^+)^{n_p} |0> / sqrt(prod_p n_p!)``
+    where ``n_p`` runs over the occupations of ``init`` and the factors
+    are applied in descending mode order so that identity coefficients
+    reproduce ``|init>`` with amplitude one.  The result is normalized
+    whenever the rows of ``coeffs`` for occupied sites are orthonormal
+    (in particular for any unitary ``coeffs``).
+    """
     init = _occupations(init, basis.n_modes, basis.stats)
     if sum(init) != basis.n_particles:
         raise ValueError("initial occupation does not match the basis")
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (basis.n_modes, basis.n_modes):
         raise ValueError("coefficient matrix must be L x L")
-
-    zeros = (coeffs[[p for p in range(basis.n_modes) if init[p]]] == 0).tobytes()
-    steps, positions = _expansion_plan(basis, init, zeros)
-    flat = coeffs.reshape(-1)
-    re, im = np.ones(1), np.zeros(1)
-    for src, col, factor, dst, size in steps:
-        ar, ai = re[src], im[src]
-        c = flat[col]
-        cr, ci = c.real, c.imag
-        pr = (ar * cr - ai * ci) * factor
-        pi = (ar * ci + ai * cr) * factor
-        re = np.bincount(dst, weights=pr, minlength=size)
-        im = np.bincount(dst, weights=pi, minlength=size)
-
-    values = np.empty(len(re), dtype=complex)
-    values.real, values.imag = re, im
-    norm = math.sqrt(math.prod(math.factorial(n) for n in init))
-    amp = np.zeros(len(basis), dtype=complex)
-    amp[positions] = values / norm
-    return ManyBodyState(basis, amp)
+    return ManyBodyState(basis, _monomial_amplitudes(basis, init, coeffs))

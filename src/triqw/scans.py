@@ -4,13 +4,14 @@ Each scan returns plain arrays; serialization stays in the CLI.  The scans
 call the same batched kernels as the per-state measures: the phase-grid
 scan passes each alpha row (one ``phi_weights`` call, scattered into
 tensors by ``mode_qubit_tensor`` as ``geometric_measure`` does) to the
-``eps_T`` and ``eps_G`` kernels, and the walk passes all its time samples
-to the ``eps_T`` kernel in one call.  Both take the shared sector
-decomposition of their basis and partition.  Sample counts are capped
-(MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
+``eps_T`` and ``eps_G`` kernels.  The walk builds all its propagators in
+one call and their amplitudes through one plan, with no per-time state,
+and passes them to the ``eps_T`` kernel in one call.  Both take the shared
+sector decomposition of their basis and partition.  Sample counts are
+capped (MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
 memory grows with them; larger requests are rejected before anything is
-allocated.  The walk and the snapshot check their initial occupation
-through ``fock._occupations`` before they build anything from it.  Each
+allocated.  The walk and the snapshot check their initial occupation once,
+through ``fock._occupations``, before they build anything from it.  Each
 default (GRID_STEPS, TAU_MAX, TIME_SAMPLES) is named once, here; the CLI
 imports it.  The chain has no energy parameter (see ``dynamics``).
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LatticeParams, evolve_state, single_particle_propagator
+from .dynamics import LatticeParams, single_particle_propagator
 from .entanglement import (
     Partition,
     entanglement_of_particles,
@@ -32,7 +33,7 @@ from .entanglement import (
     _geometric_kernel,
     mode_qubit_tensor,
 )
-from .fock import Statistics, _integers, _occupations, enumerate_basis
+from .fock import Statistics, _integer, _monomial_amplitudes, _occupations, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
@@ -56,19 +57,16 @@ MAX_TIME_SAMPLES = 10_000
 
 
 def _sample_count(count, limit: int, what: str) -> int:
-    message = f"need between 2 and {limit} {what}"
-    (count,) = _integers((count,), message, low=2)
-    if count > limit:
-        raise ValueError(f"{message}, got {count!r}")
-    return count
+    return _integer(count, f"need between 2 and {limit} {what}", low=2, high=limit)
 
 
-def chi_report(partition: Partition = CHI_PARTITION) -> dict[str, float]:
-    """Both measures for the single particle spread over three modes."""
+def chi_report() -> dict[str, float]:
+    """Both measures for one particle spread over three single-mode parties,
+    which no relabelling of the parties changes."""
     state = chi_state()
     return {
-        "eps_G": geometric_measure(state, partition),
-        "eps_T": entanglement_of_particles(state, partition).eps_t,
+        "eps_G": geometric_measure(state, CHI_PARTITION),
+        "eps_T": entanglement_of_particles(state, CHI_PARTITION).eps_t,
     }
 
 
@@ -134,13 +132,11 @@ def walk_scan(
     if not math.isfinite(tau_max):
         raise ValueError("tau_max must be finite")
     init = _occupations(init, stats=stats)
-    params = LatticeParams(len(init))
     basis = enumerate_basis(sum(init), len(init), stats)
     dec = _decomposition(basis, partition)
     taus = np.linspace(0.0, tau_max, steps)
-    amps = np.stack(
-        [evolve_state(init, params, tau, stats, basis=basis).amp for tau in taus]
-    )
+    coeffs = single_particle_propagator(LatticeParams(len(init)), taus)
+    amps = _monomial_amplitudes(basis, init, coeffs)
     probs, negs, eps_t = _eps_t_kernel(dec, amps)
     single = np.zeros((steps, 5))
     if (1, 1, 1) in dec.sectors:

@@ -68,8 +68,8 @@ MUTANTS = [
     (
         "party-float-truncated",
         "entanglement.py",
-        "(party,) = _integers((party,), message)",
-        "party = int(party)",
+        "return _integer(party, message, high=len(rho.dims) - 1)",
+        "return _integer(int(party), message, high=len(rho.dims) - 1)",
     ),
     (
         "qubit-scatter-last-row-only",
@@ -112,8 +112,14 @@ MUTANTS = [
     (
         "integer-guard-ignores-low",
         "fock.py",
-        "any(v < low for v in checked)",
-        "any(v < 0 for v in checked)",
+        "checked is None or checked < low or",
+        "checked is None or checked < 0 or",
+    ),
+    (
+        "integer-guard-high-off-by-one",
+        "fock.py",
+        "(high is not None and checked > high)",
+        "(high is not None and checked > high + 1)",
     ),
     (
         "evolve-basis-stats-unchecked",
@@ -124,10 +130,28 @@ MUTANTS = [
     (
         "integers-accept-bool",
         "fock.py",
-        "operator.index(None if isinstance(v, bool) else v)",
-        "operator.index(v)",
+        "operator.index(None if isinstance(value, bool) else value)",
+        "operator.index(value)",
     ),
     ("walk-default-steps", "scans.py", "TIME_SAMPLES = 400", "TIME_SAMPLES = 401"),
+    (
+        "plan-rows-ascending",
+        "fock.py",
+        "for row in range(L - 1, -1, -1):",
+        "for row in range(L):",
+    ),
+    (
+        "stack-first-matrix-only",
+        "fock.py",
+        "for mat, amp in zip(flat, amps):",
+        "for mat, amp in zip(flat[[0] * len(flat)], amps):",
+    ),
+    (
+        "propagator-phases-on-row-axis",
+        "dynamics.py",
+        "(sines * phases[..., None, :])",
+        "(sines * phases[..., :, None])",
+    ),
     (
         "fermions-share-a-site",
         "fock.py",

@@ -161,8 +161,6 @@ def monomial_expansion(basis, coeffs, init) -> np.ndarray:
             for occ, amp in terms.items():
                 for s in range(1, L + 1):
                     c = row[s - 1]
-                    if c == 0:
-                        continue
                     res = apply_creation(occ, s, basis.stats)
                     if res is None:
                         continue

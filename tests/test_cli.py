@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triqw import (
     ADJACENT_PARTITION,
-    Partition,
     Statistics,
     chi_report,
     entanglement_of_particles,
@@ -49,10 +52,12 @@ class TestChiCommand:
         assert record["eps_G"] == pytest.approx(math.sqrt(33.0) / 3.0 - 1.0, abs=1e-9)
         assert record["eps_T"] == 0.0
 
-    def test_party_relabeling_changes_nothing(self, capsys):
-        _, base = run_cli(capsys, "chi")
-        _, permuted = run_cli(capsys, "chi", "--partition", "3|1|2")
-        assert json.loads(base) == json.loads(permuted)
+    def test_partition_option_is_gone(self, capsys):
+        # every relabelling of the single-mode parties gives the same report
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chi", "--partition", "1|2|3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --partition 1|2|3" in capsys.readouterr().err
 
     def test_csv_output(self, capsys):
         code, out = run_cli(capsys, "chi", "--format", "csv")
@@ -209,6 +214,71 @@ def test_onsite_option_is_gone(capsys, command):
     assert "unrecognized arguments: --onsite 0" in capsys.readouterr().err
 
 
+PARTITION_TEXTS = st.sampled_from(
+    ["1,2|3,4|5,6", "1,4|2,5|3,6", "1|2|3", "3|1|2", "1,2|3,4", "1,2|2,3|4,5", "1,2|3,4|5,9",
+     "0,1|2,3|4,5", "1,2,3|4,5|6", "a|b|c", ""]
+)
+TAU_TEXTS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1.7e308", "1e300", "-1e1",
+                     "2.5e-3", "-7e-2", "0", "-0.0", "x", ""]),
+    st.floats(-30.0, 30.0).map(repr),
+)
+BAD_COUNTS = st.sampled_from(["-1", "0", "1", "1.5", "1e1", "x", ""])
+STATS_TEXTS = st.sampled_from(["bosons", "fermions", "anyons"])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one command: options good or bad, in the ``--opt value`` or
+    ``--opt=value`` form, with grids of at most 9 and walks of at most 40
+    steps."""
+    command = draw(st.sampled_from(["chi", "phi-scan", "walk", "snapshot"]))
+    argv = [command]
+
+    def option(name, values, always=False):
+        if always or draw(st.booleans()):
+            value = draw(values)
+            argv.extend([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+
+    if command == "phi-scan":
+        for name in ("--alpha-steps", "--beta-steps"):
+            option(name, st.one_of(st.integers(2, 9).map(str), BAD_COUNTS, st.just("502")), True)
+        option("--partition", PARTITION_TEXTS)
+    elif command == "walk":
+        option("--stats", STATS_TEXTS)
+        option("--partition", PARTITION_TEXTS)
+        option("--tau-max", TAU_TEXTS)
+        option("--steps", st.one_of(st.integers(2, 40).map(str), BAD_COUNTS, st.just("10001")), True)
+    elif command == "snapshot":
+        option("--stats", STATS_TEXTS)
+        option("--tau", TAU_TEXTS)
+    else:
+        option("--partition", PARTITION_TEXTS)  # chi takes none: a usage error
+    option("--format", st.sampled_from(["csv", "json", "xml"]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+def test_every_argv_exits_zero_or_two_with_an_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        # argparse reports unrecognized arguments from the top-level parser
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(("error: ", "triqw: error: ", f"triqw {argv[0]}: error: ")), last
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue()
+
+
 def _fmt(value: float) -> str:
     """One CSV number, formatted on its own: the per-cell reference."""
     return f"{float(value):.12g}"
@@ -223,9 +293,8 @@ def whole_csv(header, rows) -> str:
 def expected_table(command):
     """A command's argv, and the header, rows and JSON record (or None) it prints."""
     if command == "chi":
-        report = chi_report(Partition.parse("3|1|2"))
-        rows = [(report["eps_G"], report["eps_T"])]
-        return ["chi", "--partition", "3|1|2"], ["eps_G", "eps_T"], rows, report
+        report = chi_report()
+        return ["chi"], ["eps_G", "eps_T"], [(report["eps_G"], report["eps_T"])], report
     if command == "phi-scan":
         scan = phi_scan(4, 3)
         rows = [

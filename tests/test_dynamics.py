@@ -72,6 +72,19 @@ class TestPropagator:
         assert cosines.tobytes() == np.cos(k * np.pi / 7).tobytes()
         assert sines.tobytes() == np.sin(np.outer(k, k) * np.pi / 7).tobytes()
 
+    def test_an_array_of_times_stacks_the_per_time_matrices(self):
+        taus = np.linspace(-5.0, 20.0, 41)
+        stack = single_particle_propagator(LatticeParams(6), taus)
+        assert stack.shape == (41, 6, 6)
+        for tau, mat in zip(taus, stack):
+            assert mat.tobytes() == single_particle_propagator(LatticeParams(6), tau).tobytes()
+        grid = single_particle_propagator(LatticeParams(6), taus.reshape(1, 41))
+        assert grid.tobytes() == stack.tobytes() and grid.shape == (1, 41, 6, 6)
+
+    def test_an_array_error_names_its_first_bad_time(self):
+        with pytest.raises(ValueError, match=r"^tau = 1e\+308 gives non-finite"):
+            single_particle_propagator(LatticeParams(6), [0.0, 1e308, float("nan")])
+
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             single_particle_propagator(LatticeParams(6), float("nan"))

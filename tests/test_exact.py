@@ -6,12 +6,14 @@
   kets lie in the (1, 1, 1) sector, where they form a GHZ-type pair.
 * The chi state has a closed-form ``eps_G`` and an ``eps_T`` of exactly 0,
   because every sector has a party with a one-dimensional local space.
+  Both are bit for bit the same under every relabelling of its parties.
 * The walk is symmetric under time reversal (C(-tau) = C(tau)*) and under
   the mirror m -> 7 - m of the chain.
 * The batched ``eps_T`` kernel gives the same bits wherever its input sits
   in memory.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,11 +22,15 @@ import pytest
 from triqw import (
     ADJACENT_PARTITION,
     ALTERNATING_PARTITION,
+    CHI_PARTITION,
     WALK_INIT,
     Partition,
     Statistics,
     chi_report,
+    chi_state,
+    entanglement_of_particles,
     enumerate_basis,
+    geometric_measure,
     phi_scan,
     walk_scan,
 )
@@ -78,6 +84,19 @@ def test_chi_closed_forms():
     report = chi_report()
     assert abs(report["eps_G"] - (math.sqrt(11.0 / 3.0) - 1.0)) <= 1e-14
     assert report["eps_T"] == 0.0
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
+def test_chi_measures_are_blind_to_party_labels(order):
+    # why chi_report takes no partition: every relabelling of the three
+    # single-mode parties gives the same bits
+    state = chi_state()
+
+    def bits(partition):
+        eps_t = entanglement_of_particles(state, partition).eps_t
+        return float(geometric_measure(state, partition)).hex(), float(eps_t).hex()
+
+    assert bits(Partition(*[(m,) for m in order])) == bits(CHI_PARTITION)
 
 
 class TestWalkSymmetries:

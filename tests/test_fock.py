@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import triqw
 from oracles import apply_annihilation, monomial_expansion
 from triqw import (
     ADJACENT_PARTITION,
@@ -15,11 +16,13 @@ from triqw import (
     LatticeParams,
     ManyBodyState,
     Statistics,
+    bipartite_negativity,
     enumerate_basis,
+    phi_scan,
     single_particle_propagator,
     walk_scan,
 )
-from triqw.fock import _expansion_plan, apply_creation, build_monomial_state
+from triqw.fock import _expansion_plan, _monomial_amplitudes, apply_creation, build_monomial_state
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS
@@ -267,41 +270,101 @@ def test_monomial_state_is_bit_identical_to_per_call_expansion(case):
     assert state.amp.tobytes() == monomial_expansion(basis, coeffs, init).tobytes()
 
 
-class TestExpansionPlanCache:
-    """One expansion plan per (basis, init, pattern of exact zeros)."""
+class TestWalkAmplitudePath:
+    """One expansion plan per (basis, init), and one check per call."""
 
-    def test_walk_scan_builds_one_plan(self):
+    @staticmethod
+    def count_calls(monkeypatch, calls, module, name):
+        """Count the calls of ``module.name`` through every ``triqw`` binding."""
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for owner in (triqw, triqw.fock, triqw.dynamics, triqw.scans):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counted)
+
+    def test_default_walk_scan_checks_once_and_builds_once(self, monkeypatch):
+        calls = {"_occupations": 0, "single_particle_propagator": 0}
+        self.count_calls(monkeypatch, calls, triqw.fock, "_occupations")
+        self.count_calls(monkeypatch, calls, triqw.dynamics, "single_particle_propagator")
         _expansion_plan.cache_clear()
-        walk_scan(BOS, ADJACENT_PARTITION, steps=400)
+        walk_scan(BOS, ADJACENT_PARTITION)
+        assert calls == {"_occupations": 1, "single_particle_propagator": 1}
         info = _expansion_plan.cache_info()
-        assert (info.misses, info.hits) == (1, 399)
+        assert (info.misses, info.hits) == (1, 0)
 
     @pytest.mark.parametrize("stats", [BOS, FER])
-    def test_an_exact_zero_builds_a_second_plan(self, stats):
+    def test_an_exact_zero_shares_the_plan(self, stats):
         basis = enumerate_basis(3, 6, stats)
         coeffs = single_particle_propagator(LatticeParams(6), 2.3)
         _expansion_plan.cache_clear()
         build_monomial_state(basis, coeffs, WALK_INIT)
-        zeroed = coeffs.copy()
-        zeroed[1, 4] = 0.0  # row 1 belongs to an occupied site of WALK_INIT
-        state = build_monomial_state(basis, zeroed, WALK_INIT)
-        assert _expansion_plan.cache_info().misses == 2
-        assert state.amp.tobytes() == monomial_expansion(basis, zeroed, WALK_INIT).tobytes()
-        # a zero in a row of an empty site does not enter the key
-        zeroed = coeffs.copy()
-        zeroed[4, 1] = 0.0
-        build_monomial_state(basis, zeroed, WALK_INIT)
-        assert _expansion_plan.cache_info().misses == 2
+        for entry in [(1, 4), (4, 1)]:  # rows of an occupied and of an empty site
+            zeroed = coeffs.copy()
+            zeroed[entry] = 0.0
+            state = build_monomial_state(basis, zeroed, WALK_INIT)
+            assert state.amp.tobytes() == monomial_expansion(basis, zeroed, WALK_INIT).tobytes()
+        assert _expansion_plan.cache_info().misses == 1
+
+    def test_a_coefficient_stack_matches_one_matrix_at_a_time(self):
+        basis = enumerate_basis(3, 6, FER)
+        stack = single_particle_propagator(LatticeParams(6), np.linspace(0.0, 5.0, 7))
+        amps = _monomial_amplitudes(basis, WALK_INIT, stack)
+        assert amps.shape == (7, len(basis))
+        for mat, amp in zip(stack, amps):
+            assert amp.tobytes() == build_monomial_state(basis, mat, WALK_INIT).amp.tobytes()
 
     def test_plan_arrays_are_read_only(self):
-        basis = enumerate_basis(3, 6, BOS)
-        zeros = np.zeros((3, 6), dtype=bool).tobytes()
-        steps, positions = _expansion_plan(basis, WALK_INIT, zeros)
+        steps, positions = _expansion_plan(enumerate_basis(3, 6, BOS), WALK_INIT)
         arrays = [arr for step in steps for arr in step if isinstance(arr, np.ndarray)]
         assert len(arrays) == 4 * len(steps) == 12
         for arr in arrays + [positions]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
+
+
+# (call taking the value, its message without the quoted value)
+RANGE_CHECKS = {
+    "grid steps": (lambda n: phi_scan(n, 2), "need between 2 and 501 grid steps per axis"),
+    "time samples": (lambda n: walk_scan(FER, steps=n), "need between 2 and 10000 time samples"),
+    "party": (
+        lambda n: bipartite_negativity(DensityMatrix((2, 2), np.eye(4) / 4), n),
+        "party out of range for dims (2, 2): need an integer 0..1",
+    ),
+    "particle count": (
+        lambda n: enumerate_basis(n, 3, BOS),
+        "particle count must be a non-negative integer",
+    ),
+    "mode count": (lambda n: LatticeParams(n), "mode count must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize(
+    "what, value",
+    [
+        ("grid steps", 1),
+        ("grid steps", 502),
+        ("grid steps", 2.0),
+        ("time samples", 1),
+        ("time samples", 10_001),
+        ("time samples", "400"),
+        ("party", -1),
+        ("party", 2),
+        ("party", 0.5),
+        ("particle count", -1),
+        ("particle count", 1.5),
+        ("mode count", 0),
+        ("mode count", None),
+    ],
+)
+def test_range_errors_quote_the_scalar_itself(what, value):
+    call, message = RANGE_CHECKS[what]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{message}, got {value!r}"
 
 
 def test_many_body_state_validation():
