@@ -8,9 +8,7 @@ walk scenarios that exercise them.
 
 from .dynamics import LatticeParams, evolve_state, single_particle_propagator
 from .entanglement import (
-    EntanglementReport,
     Partition,
-    SectorState,
     bipartite_negativity,
     entanglement_of_particles,
     geometric_measure,
@@ -18,13 +16,13 @@ from .entanglement import (
     project_sector,
     tripartite_negativity,
 )
-from .fock import DensityMatrix, FockBasis, ManyBodyState, Statistics, enumerate_basis
+from .fock import DensityMatrix, ManyBodyState, Statistics, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
     two_particle_correlation,
 )
-from .scans import PhiScan, WalkScan, chi_report, phi_scan, snapshot, walk_scan
+from .scans import chi_report, phi_scan, snapshot, walk_scan
 from .states import (
     ADJACENT_PARTITION,
     ALTERNATING_PARTITION,
@@ -41,16 +39,11 @@ __all__ = [
     "ALTERNATING_PARTITION",
     "CHI_PARTITION",
     "DensityMatrix",
-    "EntanglementReport",
-    "FockBasis",
     "LatticeParams",
     "ManyBodyState",
     "Partition",
-    "PhiScan",
-    "SectorState",
     "Statistics",
     "WALK_INIT",
-    "WalkScan",
     "bipartite_negativity",
     "chi_report",
     "chi_state",

@@ -22,6 +22,7 @@ from .fock import (
     _monomial_amplitudes,
     _occupations,
     _read_only,
+    _real,
     enumerate_basis,
 )
 
@@ -90,10 +91,12 @@ def evolve_state(
     ``tests/oracles.py``, the dense ``exp(-iHt)`` reference.  The sine
     basis and the expansion plan are cached, and a passed ``basis`` saves
     its enumeration.  ``init`` (one non-negative integer per site, at most
-    one for fermions) is checked once, first; a ``basis`` whose particle
-    number, mode count or statistics differ raises ValueError.
+    one for fermions) is checked once, first, then ``tau`` (one real
+    number); a ``basis`` whose particle number, mode count or statistics
+    differ raises ValueError.
     """
     init = _occupations(init, params.n_modes, stats)
+    tau = _real(tau, "tau")
     shape = (sum(init), params.n_modes, stats)
     if basis is None:
         basis = enumerate_basis(*shape)

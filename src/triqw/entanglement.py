@@ -80,10 +80,6 @@ class Partition:
     def parties(self) -> tuple[tuple[int, ...], ...]:
         return (self.a, self.b, self.c)
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.a) + len(self.b) + len(self.c)
-
     def validate_cover(self, n_modes: int) -> None:
         covered = set(self.a) | set(self.b) | set(self.c)
         if covered != set(range(1, n_modes + 1)):
@@ -431,7 +427,6 @@ class SectorRecord(NamedTuple):
 class EntanglementReport:
     """Per-sector negativities and the particle-number-weighted total."""
 
-    partition: Partition
     sectors: tuple[SectorRecord, ...]
     eps_t: float
 
@@ -468,7 +463,7 @@ def entanglement_of_particles(
         for counts, prob, sector_negs in zip(dec.sectors, probs[0].tolist(), negs[0].tolist())
         if prob > 0.0
     )
-    return EntanglementReport(partition, records, float(eps_t[0]))
+    return EntanglementReport(records, float(eps_t[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ Conventions used throughout the package:
   kets carrying the usual ``1/sqrt(n_i!)`` normalization.  Under this
   convention ket labels are sign-free and every fermionic sign lives in
   the operator application rules below.
-* ``_integer`` is the package's one integer check of caller input, and
-  ``_occupations`` its one check of a walk's initial occupation.
+* ``_integer`` is the package's one integer check of caller input,
+  ``_real`` its one check of a time, and ``_occupations`` its one check
+  of a walk's initial occupation.
 * ``_monomial_amplitudes`` is the one path to monomial amplitudes: one
   cached plan per basis and initial occupation, for a stack of matrices.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +59,14 @@ def _integer(value, message: str, low: int = 0, high: int | None = None) -> int:
     if checked is None or checked < low or (high is not None and checked > high):
         raise ValueError(f"{message}, got {value!r}")
     return checked
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a Python float for a Python or numpy real scalar, else
+    ValueError: bools, strings, complex numbers, None and arrays fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _integers(values, message: str, low: int = 0) -> tuple[int, ...]:
@@ -108,8 +118,12 @@ class FockBasis:
         return len(self.states)
 
     def index(self, occ) -> int:
-        """Position of an occupation tuple in the enumeration."""
-        return self._index[tuple(occ)]
+        """Position of an occupation tuple in the enumeration; ValueError
+        for an occupation that is not a state of this basis."""
+        try:
+            return self._index[tuple(occ)]
+        except KeyError:
+            raise ValueError(f"occupation {occ!r} is not a state of {self!r}") from None
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,15 +189,6 @@ class ManyBodyState:
             )
         if not np.isfinite(self.amp).all():
             raise ValueError("amplitudes must be finite")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
-
-    def overlap(self, other: "ManyBodyState") -> complex:
-        """<self|other> on a shared basis."""
-        if self.basis != other.basis:
-            raise ValueError("states live on different bases")
-        return complex(np.vdot(self.amp, other.amp))
 
     @classmethod
     def basis_ket(cls, basis: FockBasis, occ) -> "ManyBodyState":

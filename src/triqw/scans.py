@@ -10,10 +10,10 @@ and passes them to the ``eps_T`` kernel in one call.  Both take the shared
 sector decomposition of their basis and partition.  Sample counts are
 capped (MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
 memory grows with them; larger requests are rejected before anything is
-allocated.  The walk and the snapshot check their initial occupation once,
-through ``fock._occupations``, before they build anything from it.  Each
-default (GRID_STEPS, TAU_MAX, TIME_SAMPLES) is named once, here; the CLI
-imports it.  The chain has no energy parameter (see ``dynamics``).
+allocated.  The walk and the snapshot check their initial occupation
+(``fock._occupations``) and time (``fock._real``) once, before they build
+anything from them.  Each default (GRID_STEPS, TAU_MAX, TIME_SAMPLES) is
+named once, here; the CLI imports it.  The chain has no energy parameter.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .entanglement import (
     _geometric_kernel,
     mode_qubit_tensor,
 )
-from .fock import Statistics, _integer, _monomial_amplitudes, _occupations, enumerate_basis
+from .fock import Statistics, _integer, _monomial_amplitudes, _occupations, _real, enumerate_basis
 from .observables import (
     interparticle_distance,
     single_particle_density,
@@ -129,6 +129,7 @@ def walk_scan(
     sector-averaged total.
     """
     steps = _sample_count(steps, MAX_TIME_SAMPLES, "time samples")
+    tau_max = _real(tau_max, "tau_max")
     if not math.isfinite(tau_max):
         raise ValueError("tau_max must be finite")
     init = _occupations(init, stats=stats)
@@ -148,10 +149,11 @@ def walk_scan(
 def snapshot(stats: Statistics, tau: float, init=WALK_INIT) -> dict:
     """Density, pair-correlation matrix and distance histogram at one time."""
     init = _occupations(init, stats=stats)
+    tau = _real(tau, "tau")
     prop = single_particle_propagator(LatticeParams(len(init)), tau)
     gamma = two_particle_correlation(prop, init, stats)
     return {
-        "tau": float(tau),
+        "tau": tau,
         "stats": stats.value,
         "rho": single_particle_density(prop, init).tolist(),
         "Gamma": gamma.tolist(),

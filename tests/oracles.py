@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from triqw import FockBasis, LatticeParams, ManyBodyState, Statistics, enumerate_basis
-from triqw.fock import _check_mode, apply_creation
+from triqw import LatticeParams, ManyBodyState, Statistics, enumerate_basis
+from triqw.fock import FockBasis, _check_mode, apply_creation
 
 ORACLE_DIMENSION_LIMIT = 1000
 

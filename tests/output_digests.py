@@ -9,7 +9,8 @@ byte for byte:
 * ``chi``, ``phi-scan``, the four walks (bosons and fermions, adjacent
   and alternating partitions) and both snapshots at their defaults, in
   CSV and in JSON;
-* ``walk --stats bosons --steps 10000`` and ``chi --partition 3|1|2``;
+* ``walk --stats bosons --steps 10000`` and ``phi-scan --partition
+  1,4|2,5|3,6`` on a 21 x 21 grid;
 * ``perfbench/dephased.py --seed 0`` and ``--seed 7``;
 * configuration errors that exit 2: overflowing, infinite and nan times,
   too few walk samples and too many grid steps.
@@ -51,7 +52,10 @@ CLI_OUTPUTS = [
 ]
 CLI_OUTPUTS += [
     ("walk-bosons-10000-steps", ["walk", "--stats", "bosons", "--steps", "10000"]),
-    ("chi-partition-3|1|2", ["chi", "--partition", "3|1|2"]),
+    (
+        "phi-scan-alternating-21",
+        ["phi-scan", "--partition", "1,4|2,5|3,6", "--alpha-steps", "21", "--beta-steps", "21"],
+    ),
     ("error-walk-tau-max-1e308", ["walk", "--tau-max", "1e308"]),
     ("error-walk-tau-max-1.7e308", ["walk", "--tau-max", "1.7e308"]),
     ("error-walk-tau-max-inf", ["walk", "--tau-max", "inf"]),

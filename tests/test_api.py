@@ -1,5 +1,7 @@
 """The package facade: ``triqw.__all__`` grows or shrinks only on purpose."""
 
+import pytest
+
 import triqw
 
 PUBLIC_NAMES = [
@@ -7,16 +9,11 @@ PUBLIC_NAMES = [
     "ALTERNATING_PARTITION",
     "CHI_PARTITION",
     "DensityMatrix",
-    "EntanglementReport",
-    "FockBasis",
     "LatticeParams",
     "ManyBodyState",
     "Partition",
-    "PhiScan",
-    "SectorState",
     "Statistics",
     "WALK_INIT",
-    "WalkScan",
     "bipartite_negativity",
     "chi_report",
     "chi_state",
@@ -42,3 +39,20 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(triqw.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(triqw, name), name
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("entanglement", "EntanglementReport"),
+        ("entanglement", "SectorState"),
+        ("scans", "PhiScan"),
+        ("scans", "WalkScan"),
+        ("fock", "FockBasis"),
+    ],
+)
+def test_result_types_live_in_their_modules(module, name):
+    """Callers get these back from the public functions, or build them with
+    ``enumerate_basis``; they stay importable from their modules."""
+    assert not hasattr(triqw, name)
+    assert isinstance(getattr(getattr(triqw, module), name), type)

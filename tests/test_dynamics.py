@@ -153,7 +153,7 @@ class TestEvolution:
         rng = np.random.default_rng(11)
         for tau in rng.uniform(0.0, 20.0, size=6):
             state = evolve_state(INIT, LatticeParams(6), tau, stats)
-            assert abs(state.norm() - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(state.amp) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_matches_exponential_oracle(self, stats):
@@ -232,6 +232,35 @@ def test_evolve_state_and_walk_scan_reject_bad_init(init):
         evolve_state(init, LatticeParams(6), 1.0, BOS, basis=enumerate_basis(3, 6, BOS))
     with pytest.raises(ValueError, match=message):
         walk_scan(BOS, init=init, steps=2)
+
+
+TIME_ENTRY_POINTS = {
+    "evolve_state": ("tau", lambda tau: evolve_state(INIT, LatticeParams(6), tau, FER)),
+    "snapshot": ("tau", lambda tau: snapshot(FER, tau)),
+    "walk_scan": ("tau_max", lambda tau: walk_scan(FER, tau_max=tau, steps=3)),
+}
+
+
+@pytest.mark.parametrize("entry", TIME_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "tau",
+    [[1.0, 2.0], (1.0,), np.array(1.0), np.array([1.0, 2.0]), "5", 1j, np.complex128(1.0),
+     None, True, np.bool_(True)],
+)
+def test_a_time_is_one_real_number(entry, tau):
+    name, call = TIME_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as info:
+        call(tau)
+    assert str(info.value) == f"{name} must be a real number, got {tau!r}"
+
+
+@pytest.mark.parametrize("tau", [np.float64(2.5), np.float32(2.5), np.int64(2), 2])
+def test_a_real_scalar_time_is_its_float(tau):
+    evolve, take, walk = (call for _, call in TIME_ENTRY_POINTS.values())
+    assert evolve(tau).amp.tobytes() == evolve(float(tau)).amp.tobytes()
+    record = take(tau)
+    assert type(record["tau"]) is float and record == take(float(tau))
+    assert walk(tau).eps_t.tobytes() == walk(float(tau)).eps_t.tobytes()
 
 
 @pytest.mark.parametrize("n_modes", [2.5, 6.0, "6", None, True])

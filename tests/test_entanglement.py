@@ -24,7 +24,6 @@ from triqw import (
     CHI_PARTITION,
     WALK_INIT,
     DensityMatrix,
-    FockBasis,
     LatticeParams,
     ManyBodyState,
     Partition,
@@ -55,6 +54,7 @@ from triqw.entanglement import (
     mode_qubit_tensor,
     tensor_norm_squared,
 )
+from triqw.fock import FockBasis
 from triqw.states import phi_basis
 
 BOS = Statistics.BOSONS
@@ -206,7 +206,7 @@ class TestSectorProjection:
         stats=st.sampled_from([BOS, FER]),
     )
     def test_sectors_match_enumerated_product_bases(self, partition, n_particles, stats):
-        basis = enumerate_basis(n_particles, partition.n_modes, stats)
+        basis = enumerate_basis(n_particles, sum(map(len, partition.parties)), stats)
         dec = SectorDecomposition(basis, partition)
         gathered = np.concatenate([sector.index for sector in dec.sectors.values()])
         assert sorted(gathered.tolist()) == list(range(len(basis)))

@@ -12,7 +12,6 @@ from triqw import (
     ADJACENT_PARTITION,
     WALK_INIT,
     DensityMatrix,
-    FockBasis,
     LatticeParams,
     ManyBodyState,
     Statistics,
@@ -22,7 +21,13 @@ from triqw import (
     single_particle_propagator,
     walk_scan,
 )
-from triqw.fock import _expansion_plan, _monomial_amplitudes, apply_creation, build_monomial_state
+from triqw.fock import (
+    FockBasis,
+    _expansion_plan,
+    _monomial_amplitudes,
+    apply_creation,
+    build_monomial_state,
+)
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS
@@ -212,7 +217,7 @@ class TestMonomialState:
         init = (2, 1, 0)
         state = build_monomial_state(basis, np.eye(3), init)
         assert state.amp[basis.index(init)] == pytest.approx(1.0, abs=1e-14)
-        assert state.norm() == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(state.amp) == pytest.approx(1.0, abs=1e-14)
 
     def test_fermion_swap_gives_odd_permutation_sign(self):
         basis = enumerate_basis(2, 3, FER)
@@ -372,8 +377,16 @@ def test_many_body_state_validation():
     with pytest.raises(ValueError):
         ManyBodyState(basis, np.zeros(5, dtype=complex))
     state = ManyBodyState.basis_ket(basis, (0, 1, 0))
-    assert state.norm() == pytest.approx(1.0)
-    assert state.overlap(state) == pytest.approx(1.0)
+    assert np.linalg.norm(state.amp) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("occ", [(2, 1, 0, 0, 0, 0), (1, 1, 1)])
+def test_a_ket_outside_the_basis_is_a_value_error(occ):
+    # a doubly occupied fermion mode, and too few modes
+    basis = enumerate_basis(3, 6, FER)
+    with pytest.raises(ValueError) as info:
+        ManyBodyState.basis_ket(basis, occ)
+    assert str(info.value) == f"occupation {occ!r} is not a state of {basis!r}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
