@@ -48,14 +48,18 @@ def single_particle_propagator(params: LatticeParams, tau) -> np.ndarray:
 
     i.e. the sine-basis eigendecomposition of exp(-i H tau) with H the
     hopping matrix in units of T.  The matrix is unitary and symmetric.
-    An array ``tau`` gives shape ``np.shape(tau) + (L, L)``.  A tau whose
-    phases are not finite (a non-finite tau, or 2 tau overflowing) is
-    rejected; the message names the first.  The cosines and the sine
-    matrix depend only on L, so they are built once per L.
+    An array ``tau`` gives shape ``np.shape(tau) + (L, L)``.  ``tau`` must
+    have an integer or float dtype (not bool), and a tau whose phases are
+    not finite (a non-finite tau, or 2 tau overflowing) is rejected; the
+    message names the first.  The cosines and the sine matrix depend only
+    on L, so they are built once per L.
     """
     L = params.n_modes
     cosines, sines = _sine_basis(L)
-    tau = np.asarray(tau, dtype=float)
+    times = np.asarray(tau)
+    if times.dtype.kind not in "iuf":
+        raise ValueError(f"tau must be a real number or an array of them, got {tau!r}")
+    tau = times.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-2.0j * tau[..., None] * cosines)
     finite = np.isfinite(phases).all(axis=-1)

@@ -28,10 +28,11 @@ Two quantities are computed for a three-party split of the modes:
   generators it contracts (``su_generators``) are built in
   ``tests/oracles.py``.
 
-Fermionic bookkeeping: each sector stores, per entry of its local
-product basis, the position of the global ket that entry gathers and
-the parity sign of the permutation that reorders the ket's creation
-string from party-blocked order to globally ascending order.
+Fermionic bookkeeping: both measures read each ket's creation string in
+party-blocked order, which differs from the ascending ket by the parity
+sign of the reordering.  One cached table (``_party_layout``) holds every
+ket's occupations in party order and that sign; the sectors and
+``mode_qubit_tensor`` both read it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Partition:
 
     Party mode order is preserved as given; the canonical presentation
     is ascending, but permuted orders are accepted and only change the
-    local basis convention, not any entanglement value.
+    local basis convention, not ``eps_T`` or ``eps_G``.
     """
 
     a: tuple[int, ...]
@@ -104,11 +105,19 @@ class Partition:
         return "|".join(",".join(str(m) for m in p) for p in self.parties)
 
 
-def _inversion_parity(seq) -> float:
-    inv = sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
-    )
-    return -1.0 if inv % 2 else 1.0
+@functools.lru_cache(maxsize=64)
+def _party_layout(basis: FockBasis, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Every basis ket in party-blocked mode order: the (n, L) occupations
+    and the (n,) +-1 parity of reordering each fermionic creation string
+    from that order to ascending order (all +1 for bosons).  Holds the
+    package's one partition cover check; read-only, shared by both measures."""
+    partition.validate_cover(basis.n_modes)
+    order = np.array([m for party in partition.parties for m in party]) - 1
+    occ = np.array(basis.states)[:, order]
+    inverted = np.triu(order[:, None] > order, 1)
+    odd = np.einsum("ki,ij,kj->k", occ, inverted, occ) % 2 == 1
+    sign = np.where(odd & basis.stats.exclusive, -1.0, 1.0)
+    return _read_only(occ, np.intp), _read_only(sign)
 
 
 @dataclass(frozen=True)
@@ -150,17 +159,14 @@ class SectorDecomposition:
     """
 
     def __init__(self, basis: FockBasis, partition: Partition):
-        partition.validate_cover(basis.n_modes)
+        occ, signs = _party_layout(basis, partition)
         self.basis = basis
         self.partition = partition
 
+        a, b = len(partition.a), len(partition.a) + len(partition.b)
         grouped: dict[tuple[int, int, int], list] = {}
-        for gi, occ in enumerate(basis.states):
-            local = tuple(tuple(occ[m - 1] for m in party) for party in partition.parties)
-            sign = 1.0
-            if basis.stats.exclusive:
-                blocked = [m for party in partition.parties for m in party if occ[m - 1]]
-                sign = _inversion_parity(blocked)
+        for gi, (row, sign) in enumerate(zip(occ.tolist(), signs.tolist())):
+            local = (tuple(row[:a]), tuple(row[a:b]), tuple(row[b:]))
             grouped.setdefault(tuple(map(sum, local)), []).append((local, gi, sign))
 
         self.sectors: dict[tuple[int, int, int], Sector] = {}
@@ -470,36 +476,24 @@ def entanglement_of_particles(
 # geometric mode-entanglement measure
 
 
-@functools.lru_cache(maxsize=64)
-def _qubit_index(basis: FockBasis, partition: Partition) -> np.ndarray:
-    """Read-only flat position of every basis ket in the (d, d, d)
-    occupation-qubit tensor, or -1 for a ket with a doubly occupied mode.
-
-    Each mode is a qubit (sign-free under the canonical ket convention):
-    the parties' occupations, read in each party's mode order, form one
-    binary number.  Holds the one ``eps_G`` partition check.
-    """
-    if {len(p) for p in partition.parties} not in ({1}, {2}):
-        raise ValueError("geometric measure supports equal party sizes of 1 or 2 modes")
-    partition.validate_cover(basis.n_modes)
-    occ = np.array(basis.states)[:, [m - 1 for party in partition.parties for m in party]]
-    flat = occ @ (1 << np.arange(occ.shape[1])[::-1])
-    return _read_only(np.where((occ > 1).any(axis=1), -1, flat), np.intp)
-
-
 def mode_qubit_tensor(basis: FockBasis, amps: np.ndarray, partition: Partition) -> np.ndarray:
     """Map hard-core amplitudes onto three-party occupation-qubit tensors.
 
-    Scatters a (..., n) stack of amplitude vectors on ``basis`` through
-    the cached ``_qubit_index`` into (..., d, d, d) tensors, so each party
-    of m modes is a d = 2^m-level subsystem.  Fails if any ket with more
-    than one particle in a mode carries amplitude in any row.
+    Scatters a (..., n) stack of amplitude vectors on ``basis`` into
+    (..., d, d, d) tensors, so each party of m modes is a d = 2^m-level
+    subsystem, at the positions and with the signs of ``_party_layout``.
+    Fails if any ket with more than one particle in a mode carries
+    amplitude in any row.
     """
-    index = _qubit_index(basis, partition)
-    if amps[..., index < 0].any():
+    if {len(p) for p in partition.parties} not in ({1}, {2}):
+        raise ValueError("geometric measure supports equal party sizes of 1 or 2 modes")
+    occ, sign = _party_layout(basis, partition)
+    hard = (occ <= 1).all(axis=1)
+    if amps[..., ~hard].any():
         raise ValueError("occupation-qubit mapping needs occupations of at most one")
+    flat = occ[hard] @ (1 << np.arange(occ.shape[1])[::-1])
     psi = np.zeros(amps.shape[:-1] + (2 ** len(partition.a),) * 3, dtype=complex)
-    psi.reshape(amps.shape[:-1] + (-1,))[..., index[index >= 0]] = amps[..., index >= 0]
+    psi.reshape(amps.shape[:-1] + (-1,))[..., flat] = amps[..., hard] * sign[hard]
     return psi
 
 

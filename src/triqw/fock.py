@@ -119,10 +119,11 @@ class FockBasis:
 
     def index(self, occ) -> int:
         """Position of an occupation tuple in the enumeration; ValueError
-        for an occupation that is not a state of this basis."""
+        for an occupation that is not a state of this basis, or not a
+        sequence of integers."""
         try:
             return self._index[tuple(occ)]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"occupation {occ!r} is not a state of {self!r}") from None
 
     def __eq__(self, other) -> bool:

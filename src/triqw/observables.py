@@ -12,6 +12,7 @@ of the Fock dimension:
 
 Occupations are checked by ``fock._occupations``: non-negative integers,
 at most one per site for fermions; floats such as ``1.0`` are rejected.
+Each propagator or pair matrix is checked by ``_square``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,23 @@ import numpy as np
 from .fock import Statistics, _occupations
 
 
+def _square(matrix, name: str) -> np.ndarray:
+    """``matrix`` as an array, else ValueError: a non-empty square matrix."""
+    mat = np.asarray(matrix)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {mat.shape}")
+    return mat
+
+
 def single_particle_density(prop, occupations) -> np.ndarray:
     """Site-resolved particle density; identical for bosons and fermions."""
-    mat = np.asarray(prop, dtype=complex)
+    mat = _square(prop, "propagator").astype(complex)
     return np.abs(mat) ** 2 @ np.array(_occupations(occupations, len(mat)), dtype=float)
 
 
 def two_particle_correlation(prop, occupations, stats: Statistics) -> np.ndarray:
     """Joint detection matrix Gamma[r, s] = <c_r^+ c_s^+ c_s c_r>."""
-    mat = np.asarray(prop, dtype=complex)
+    mat = _square(prop, "propagator").astype(complex)
     n = np.array(_occupations(occupations, len(mat), stats), dtype=float)
 
     sign = -1.0 if stats.exclusive else 1.0
@@ -52,6 +61,6 @@ def interparticle_distance(gamma: np.ndarray) -> np.ndarray:
     The matrix is symmetric, so the single-sided sum carries all the
     information.
     """
-    gamma = np.asarray(gamma)
+    gamma = _square(gamma, "pair matrix")
     L = gamma.shape[0]
     return np.array([np.trace(gamma, offset=delta) for delta in range(L)])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .entanglement import Partition
-from .fock import FockBasis, ManyBodyState, Statistics, enumerate_basis
+from .fock import FockBasis, ManyBodyState, Statistics, _real, enumerate_basis
 
 #: one particle spread over three single-mode parties
 CHI_PARTITION = Partition((1,), (2,), (3,))
@@ -51,8 +51,10 @@ def phi_state(alpha: float, beta: float) -> ManyBodyState:
 
     Interpolates between the two alternating-occupation kets and the
     pair of half-filled blocks; alpha = 0 with beta = pi/4 gives a GHZ
-    state with one particle per adjacent two-mode party.
+    state with one particle per adjacent two-mode party.  Each phase must
+    be a real number (``fock._real``).
     """
+    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     basis = phi_basis()
     amp = np.zeros(len(basis), dtype=complex)
     amp[[basis.index(ket) for ket in PHI_KETS]] = phi_weights(alpha, beta)

@@ -95,14 +95,20 @@ MUTANTS = [
     (
         "qubit-scatter-last-row-only",
         "entanglement.py",
-        "= amps[..., index >= 0]",
-        "= amps.reshape(-1, amps.shape[-1])[-1, index >= 0]",
+        "= amps[..., hard] * sign[hard]",
+        "= amps.reshape(-1, amps.shape[-1])[-1, hard] * sign[hard]",
     ),
     (
         "qubit-check-first-row-only",
         "entanglement.py",
-        "if amps[..., index < 0].any():",
-        "if amps.reshape(-1, amps.shape[-1])[0, index < 0].any():",
+        "if amps[..., ~hard].any():",
+        "if amps.reshape(-1, amps.shape[-1])[0, ~hard].any():",
+    ),
+    (
+        "qubit-sign-dropped",
+        "entanglement.py",
+        "= amps[..., hard] * sign[hard]",
+        "= amps[..., hard]",
     ),
     (
         "fermion-creation-sign-dropped",

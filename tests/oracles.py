@@ -54,56 +54,62 @@ def hermitian_eigenvalues(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def jacobi_eigenvalues(mat, max_sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi rotations.
+    """Eigenvalues, ascending, of a (..., n, n) stack of complex Hermitian
+    matrices by cyclic Jacobi rotations.
 
     Works on the real-symmetric embedding [[Re, -Im], [Im, Re]], whose
-    spectrum is that of the input with every eigenvalue doubled.
+    spectrum is that of the input with every eigenvalue doubled.  Each
+    (p, q) rotation of a sweep is applied to every matrix of the stack at
+    once, the identity where a matrix's (p, q) entry is already below
+    1e-300; the sweeps stop when every matrix's off-diagonal norm is
+    below ``tol``.
     """
     h = np.asarray(mat, dtype=complex)
-    n = h.shape[0]
+    n = h.shape[-1]
     a = np.block([[h.real, -h.imag], [h.imag, h.real]])
     m = 2 * n
+    diag = np.arange(m)
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        if off < tol:
+        off = a.copy()
+        off[..., diag, diag] = 0.0
+        if np.sqrt(np.sum(np.square(off), axis=(-2, -1))).max(initial=0.0) < tol:
             break
         for p in range(m - 1):
             for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
+                apq = a[..., p, q]
+                skip = np.abs(apq) < 1e-300
+                if skip.all():
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
+                theta = (a[..., q, q] - a[..., p, p]) / (2.0 * np.where(skip, 1.0, apq))
+                t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+                t = np.where(skip, 0.0, t)[..., None]
+                c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-    doubled = np.sort(np.diag(a).real)
-    return doubled.reshape(n, 2).mean(axis=1)
+                row_p, row_q = a[..., p, :], a[..., q, :]
+                a[..., p, :], a[..., q, :] = c * row_p - s * row_q, s * row_p + c * row_q
+                col_p, col_q = a[..., :, p], a[..., :, q]
+                a[..., :, p], a[..., :, q] = c * col_p - s * col_q, s * col_p + c * col_q
+    doubled = np.sort(np.diagonal(a, axis1=-2, axis2=-1), axis=-1)
+    return doubled.reshape(h.shape[:-2] + (n, 2)).mean(axis=-1)
 
 
-def negativity_by_jacobi(rho: np.ndarray, dims, party: int) -> float:
-    """Partial-transpose negativity using only the Jacobi solver."""
+def negativity_by_jacobi(rho, dims, parties) -> np.ndarray:
+    """Partial-transpose negativities (..., len(parties)) of a (..., D, D)
+    stack, cut between each of ``parties`` and the rest, from one call of
+    the Jacobi solver on every matrix and cut."""
     dims = tuple(dims)
-    tensor = np.asarray(rho).reshape(dims + dims)
-    tensor = np.swapaxes(tensor, party, party + len(dims))
-    pt = tensor.reshape(rho.shape)
-    eig = jacobi_eigenvalues(pt)
-    return max(0.0, float(np.abs(eig).sum() - 1.0))
+    rho = np.asarray(rho)
+    lead = rho.ndim - 2
+    tensor = rho.reshape(rho.shape[:-2] + dims + dims)
+    transposes = [
+        np.swapaxes(tensor, lead + p, lead + p + len(dims)).reshape(rho.shape) for p in parties
+    ]
+    eig = jacobi_eigenvalues(np.stack(transposes, axis=-3))
+    return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
 
 def tripartite_negativity_by_jacobi(rho: np.ndarray, dims) -> float:
-    product = 1.0
-    for party in range(3):
-        n = negativity_by_jacobi(rho, dims, party)
-        if n == 0.0:
-            return 0.0
-        product *= n
-    return float(np.cbrt(product))
+    return float(np.cbrt(negativity_by_jacobi(rho, dims, range(3)).prod()))
 
 
 def sector_maps(basis, partition) -> dict:
@@ -312,9 +318,11 @@ def occupation_qubit_tensor(state: ManyBodyState, parties) -> np.ndarray:
     """The (d, d, d) occupation-qubit tensor, one ket at a time.
 
     Each party of m modes is a 2^m-level subsystem whose level is the
-    binary number its occupations spell in the party's mode order.  Kets
-    without amplitude are skipped; a ket with amplitude and a doubly
-    occupied mode raises ValueError.
+    binary number its occupations spell in the party's mode order.  A
+    fermionic ket's amplitude carries the sign of a bubble sort of its
+    party-blocked creation sequence, as in ``sector_maps``.  Kets without
+    amplitude are skipped; a ket with amplitude and a doubly occupied
+    mode raises ValueError.
     """
     dim = 2 ** len(parties[0])
     psi = np.zeros((dim, dim, dim), dtype=complex)
@@ -329,5 +337,7 @@ def occupation_qubit_tensor(state: ManyBodyState, parties) -> np.ndarray:
             for mode in party:
                 level = 2 * level + occ[mode - 1]
             levels.append(level)
-        psi[tuple(levels)] += amp
+        blocked = [m for party in parties for m in party if occ[m - 1]]
+        sign = bubble_sort_parity(blocked) if state.basis.stats.exclusive else 1.0
+        psi[tuple(levels)] += sign * amp
     return psi

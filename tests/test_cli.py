@@ -429,6 +429,16 @@ class TestScanInternals:
             assert phi_weights(alpha, betas[5]).tobytes() == np.array(rows[5], dtype=complex).tobytes()
 
     @pytest.mark.parametrize(
+        "alpha, beta, name",
+        [(True, 0.0, "alpha"), (0.1, "1", "beta"), (1j, 0.0, "alpha"), (0.1, None, "beta")],
+    )
+    def test_phi_state_takes_real_phases_only(self, alpha, beta, name):
+        # the first two used to build a state; 1j raised TypeError, and None
+        # said "amplitudes must be finite"
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
+            phi_state(alpha, beta)
+
+    @pytest.mark.parametrize(
         "scan",
         [
             lambda: phi_scan(2.5, 5),

@@ -85,6 +85,22 @@ class TestPropagator:
         with pytest.raises(ValueError, match=r"^tau = 1e\+308 gives non-finite"):
             single_particle_propagator(LatticeParams(6), [0.0, 1e308, float("nan")])
 
+    @pytest.mark.parametrize(
+        "tau", ["1", True, 1j, None, [0.5, "2"], np.array([True, False]), np.array([1.0 + 0j])]
+    )
+    def test_rejects_a_time_that_is_not_real(self, tau):
+        # '1' and True used to give a propagator, and 1j raised TypeError
+        with pytest.raises(ValueError, match=r"^tau must be a real number or an array of them"):
+            single_particle_propagator(LatticeParams(6), tau)
+
+    def test_integer_times_match_float_times(self):
+        params = LatticeParams(6)
+        assert single_particle_propagator(params, 3).tobytes() == (
+            single_particle_propagator(params, 3.0).tobytes()
+        )
+        stack = single_particle_propagator(params, np.arange(4, dtype=np.uint8))
+        assert stack.tobytes() == single_particle_propagator(params, np.arange(4.0)).tobytes()
+
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             single_particle_propagator(LatticeParams(6), float("nan"))

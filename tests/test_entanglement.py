@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -38,6 +38,7 @@ from triqw import (
     phi_scan,
     phi_state,
     project_sector,
+    single_particle_propagator,
     tripartite_negativity,
     walk_scan,
 )
@@ -48,13 +49,13 @@ from triqw.entanglement import (
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
-    _qubit_index,
+    _party_layout,
     _tensor_norm_constants,
     _transpose_index,
     mode_qubit_tensor,
     tensor_norm_squared,
 )
-from triqw.fock import FockBasis
+from triqw.fock import FockBasis, _monomial_amplitudes
 from triqw.states import phi_basis
 
 BOS = Statistics.BOSONS
@@ -259,6 +260,23 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stacked_jacobi_oracle_matches_known_spectra(self):
+        # diagonal matrices conjugated by known unitaries, one stack of (2, 3)
+        rng = np.random.default_rng(21)
+        spectra = np.sort(rng.normal(size=(2, 3, 6)), axis=-1)
+        raw = rng.normal(size=(2, 3, 6, 6)) + 1j * rng.normal(size=(2, 3, 6, 6))
+        unitaries = np.linalg.qr(raw)[0]
+        mats = np.einsum("...ij,...j,...kj->...ik", unitaries, spectra, unitaries.conj())
+        stacked = jacobi_eigenvalues(mats)
+        assert stacked.shape == (2, 3, 6)
+        assert np.abs(stacked - spectra).max() <= 1e-10
+        for got, mat in zip(stacked.reshape(6, 6), mats.reshape(6, 6, 6)):
+            assert np.abs(got - jacobi_eigenvalues(mat)).max() <= 1e-12
+        # the GHZ and W cut negativities of test_acceptance, cut as one stack
+        cuts = negativity_by_jacobi(np.stack([GHZ.mat, W_STATE.mat]), (2, 2, 2), range(3))
+        w_cut = 2.0 * math.sqrt(2.0) / 3.0
+        assert np.abs(cuts - [[1.0] * 3, [w_cut] * 3]).max() <= 1e-9
+
 
 class TestPartialTranspose:
     def test_involution_is_exact(self):
@@ -307,7 +325,7 @@ class TestNegativities:
 
     def test_ghz_cut_negativity_is_one(self):
         assert bipartite_negativity(GHZ, 0) == pytest.approx(1.0, abs=1e-12)
-        assert negativity_by_jacobi(GHZ.mat, (2, 2, 2), 0) == pytest.approx(1.0, abs=1e-9)
+        assert negativity_by_jacobi(GHZ.mat, (2, 2, 2), [0])[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_ghz_tripartite_negativity(self):
         assert tripartite_negativity(GHZ) == pytest.approx(1.0, abs=1e-12)
@@ -556,6 +574,7 @@ class TestEpsTKernel:
         dens = states if states.ndim == 3 else np.einsum("bi,bj->bij", states, states.conj())
         maps = sector_maps(basis, partition)
         assert list(maps) == list(dec.sectors)
+        live = {}  # dims -> [(b, k, normalised block)], for one oracle call per dims
         for b, rho in enumerate(dens):
             for k, (dims, entries) in enumerate(maps.values()):
                 mat = sector_matrix(entries, len(basis))
@@ -569,12 +588,15 @@ class TestEpsTKernel:
                 if min(dims) == 1:
                     assert not negs[b, k].any()
                     continue
-                for party in range(3):
-                    expected = negativity_by_jacobi(block / prob, dims, party)
-                    assert abs(negs[b, k, party] - expected) <= 1e-9
+                live.setdefault(dims, []).append((b, k, block / prob))
             tpn = np.cbrt(np.prod(negs[b, :, :3], axis=-1))
             assert np.abs(negs[b, :, 3] - tpn).max() <= 1e-12
             assert eps_t[b] == pytest.approx(np.sum(probs[b] * tpn), abs=1e-12)
+        for dims, cases in live.items():
+            cuts = negativity_by_jacobi(np.array([block for _, _, block in cases]), dims, range(3))
+            for (b, k, _), expected in zip(cases, cuts):
+                for party in range(3):
+                    assert abs(negs[b, k, party] - expected[party]) <= 1e-9
         # a batch of B states equals B batches of one
         for b in range(len(states)):
             single = _eps_t_kernel(dec, states[b : b + 1])
@@ -936,7 +958,7 @@ class TestGeometricMeasure:
 
 
 class TestQubitIndex:
-    """One cached index maps Fock kets onto the occupation-qubit tensor."""
+    """One cached party layout maps Fock kets onto the occupation-qubit tensor."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -975,19 +997,12 @@ class TestQubitIndex:
         with pytest.raises(ValueError, match="occupations of at most one"):
             mode_qubit_tensor(basis, amps, ADJACENT_PARTITION)
 
-    @pytest.mark.parametrize("stats", [BOS, FER])
-    def test_doubly_occupied_kets_have_no_position(self, stats):
-        basis = enumerate_basis(3, 6, stats)
-        index = _qubit_index(basis, ALTERNATING_PARTITION)
-        double = np.array([max(occ) > 1 for occ in basis.states])
-        assert np.array_equal(index < 0, double)
-        assert len(set(index[~double])) == (~double).sum()
-
-    def test_index_is_cached_and_read_only(self):
-        first = _qubit_index(enumerate_basis(3, 6, FER), Partition.parse("1,2|3,4|5,6"))
-        assert _qubit_index(FockBasis(3, 6, FER), ADJACENT_PARTITION) is first
-        with pytest.raises(ValueError, match="read-only"):
-            first[0] = 0
+    def test_layout_is_cached_and_read_only(self):
+        first = _party_layout(enumerate_basis(3, 6, FER), Partition.parse("1,2|3,4|5,6"))
+        assert _party_layout(FockBasis(3, 6, FER), ADJACENT_PARTITION) is first
+        for table in first:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_mode_qubit_tensor_rejects_three_mode_parties(self):
         basis = enumerate_basis(3, 9, FER)
@@ -999,6 +1014,59 @@ class TestQubitIndex:
         state = chi_state()
         with pytest.raises(ValueError, match="does not cover"):
             geometric_measure(state, Partition.parse("1|2|4"))
+
+
+def haar_unitary(rng, dim: int) -> np.ndarray:
+    """A Haar-random unitary: the Q of a complex Gaussian matrix, with the
+    phases of R's diagonal moved into it."""
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def party_local_walks(draw):
+    """(stats, initial occupation of 1-4 particles, partition) on six
+    modes: three parties of 1-3 modes each, in any mode order."""
+    stats = draw(st.sampled_from([BOS, FER]))
+    sites = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=stats.exclusive))
+    sizes = draw(st.sampled_from([(2, 2, 2)] + list(itertools.permutations((1, 2, 3)))))
+    modes = draw(st.permutations(range(1, 7)))
+    a, b = sizes[0], sizes[0] + sizes[1]
+    return stats, tuple(map(sites.count, range(1, 7))), Partition(modes[:a], modes[a:b], modes[b:])
+
+
+class TestPartyLocalInvariance:
+    """A unitary on each party's modes is a local unitary of the three
+    parties, so it changes no measure: both read the fermionic ket in the
+    same party-blocked convention (``_party_layout``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(case=(FER, WALK_INIT, ALTERNATING_PARTITION), tau=5.0, seed=0)
+    @given(case=party_local_walks(), tau=st.floats(0.0, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_party_mode_unitaries_change_no_measure(self, case, tau, seed):
+        stats, init, partition = case
+        rng = np.random.default_rng(seed)
+        local = np.zeros((6, 6), dtype=complex)
+        for party in partition.parties:
+            modes = np.array(party) - 1
+            local[np.ix_(modes, modes)] = haar_unitary(rng, len(party))
+        prop = single_particle_propagator(LatticeParams(6), tau)
+        basis = enumerate_basis(sum(init), 6, stats)
+        # the walk state and the state of the propagator's columns rotated
+        # within each party
+        amps = _monomial_amplitudes(basis, init, np.stack([prop, prop @ local]))
+        probs, negs, _ = _eps_t_kernel(_decomposition(basis, partition), amps)
+        assert np.abs(probs[1] - probs[0]).max() <= 1e-10
+        assert np.abs(negs[1, :, :3] - negs[0, :, :3]).max() <= 1e-10
+        # The TPN is compared through its cube, the product of the cuts: the
+        # cube root lifts the ~1e-16 roundoff that sum |lambda| - 1 leaves on
+        # a near-zero cut to ~1e-5 at tau near 1e-5 (ROADMAP item 1), on C
+        # and on C U alike.  eps_T sums the probabilities times the TPN.
+        assert np.abs(negs[1, :, 3] ** 3 - negs[0, :, 3] ** 3).max() <= 1e-10
+        if stats.exclusive and {len(p) for p in partition.parties} == {2}:
+            eps_g = _geometric_kernel(mode_qubit_tensor(basis, amps, partition))
+            assert abs(eps_g[1] - eps_g[0]) <= 1e-12
 
 
 # (prefactor inside the root, separable norm) of the geometric measure for

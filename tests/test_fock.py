@@ -380,9 +380,10 @@ def test_many_body_state_validation():
     assert np.linalg.norm(state.amp) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("occ", [(2, 1, 0, 0, 0, 0), (1, 1, 1)])
+@pytest.mark.parametrize("occ", [(2, 1, 0, 0, 0, 0), (1, 1, 1), 3, [[1], [1], [1]]])
 def test_a_ket_outside_the_basis_is_a_value_error(occ):
-    # a doubly occupied fermion mode, and too few modes
+    # a doubly occupied fermion mode, too few modes, and two values that are
+    # not sequences of integers (they used to raise TypeError)
     basis = enumerate_basis(3, 6, FER)
     with pytest.raises(ValueError) as info:
         ManyBodyState.basis_ket(basis, occ)

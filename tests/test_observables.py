@@ -108,6 +108,25 @@ class TestPairCorrelation:
 
 
 @pytest.mark.parametrize(
+    "call, matrix",
+    [
+        # a 1-D "propagator" used to give a density of 3.0
+        (lambda m: single_particle_density(m, INIT), (1, 1, 1, 0, 0, 0)),
+        (lambda m: two_particle_correlation(m, INIT, FER), np.ones(6)),
+        (lambda m: single_particle_density(m, INIT), np.ones((6, 5))),
+        # these gave an empty array, [2., 2.] and an IndexError
+        (interparticle_distance, []),
+        (interparticle_distance, np.ones((2, 3))),
+        (interparticle_distance, None),
+        (interparticle_distance, np.zeros((0, 0))),
+    ],
+)
+def test_observables_take_a_square_matrix_only(call, matrix):
+    with pytest.raises(ValueError, match="must be a non-empty square matrix"):
+        call(matrix)
+
+
+@pytest.mark.parametrize(
     "init",
     [
         (-1, 4, 0, 0, 0, 0),
