@@ -5,6 +5,9 @@ energy G and the hopping amplitude T enter only as the global phase
 ``exp(-i*N*G*tau/T)``, so the package fixes G = 0 and measures time as
 ``tau = t*T/hbar``: the chain's one parameter is its mode count.  The
 propagator takes one time or an array of them, in one broadcast.
+``single_particle_propagator`` checks the times' type; ``evolve_state``
+and the scans check a time with ``fock._real`` and hand it to the same
+private ``_propagator``, which makes the one finiteness check.
 """
 
 from __future__ import annotations
@@ -51,31 +54,42 @@ def single_particle_propagator(params: LatticeParams, tau) -> np.ndarray:
     An array ``tau`` gives shape ``np.shape(tau) + (L, L)``.  ``tau`` must
     have an integer or float dtype (not bool), and a tau whose phases are
     not finite (a non-finite tau, or 2 tau overflowing) is rejected; the
-    message names the first.  The cosines and the sine matrix depend only
-    on L, so they are built once per L.
+    message names the first.
     """
-    L = params.n_modes
-    cosines, sines = _sine_basis(L)
     times = np.asarray(tau)
     if times.dtype.kind not in "iuf":
         raise ValueError(f"tau must be a real number or an array of them, got {tau!r}")
-    tau = times.astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-2.0j * tau[..., None] * cosines)
-    finite = np.isfinite(phases).all(axis=-1)
+    return _propagator(params.n_modes, times.astype(float))
+
+
+# Above this |tau|, 2 tau overflows and the propagator phases are not finite;
+# at or below it every phase is finite.
+_TAU_LIMIT = np.finfo(float).max / 2
+
+
+def _propagator(n_modes: int, tau) -> np.ndarray:
+    """``single_particle_propagator`` of a float or float array ``tau`` that
+    the caller has checked: the one finiteness check, then only the
+    arithmetic that depends on tau.  The cosines and the sine matrices
+    depend only on L, so they are built once per L."""
+    cosines, sines, sines_t = _sine_basis(n_modes)
+    finite = np.abs(tau) <= _TAU_LIMIT
     if not finite.all():
-        raise ValueError(f"tau = {tau[~finite][0]:g} gives non-finite propagator phases")
-    return (2.0 / (L + 1)) * (sines * phases[..., None, :]) @ sines.T
+        first = np.asarray(tau)[~finite].flat[0]
+        raise ValueError(f"tau = {first:g} gives non-finite propagator phases")
+    phases = np.exp(np.multiply.outer(-2.0j * tau, cosines))
+    return (2.0 / (n_modes + 1)) * (sines * phases[..., None, :]) @ sines_t
 
 
 @functools.lru_cache(maxsize=64)
-def _sine_basis(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``cos(k pi / (L+1))`` and ``sines[r-1, k-1] = sin(r k pi / (L+1))``
-    for k, r = 1..L: read-only, built once per L."""
+def _sine_basis(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cos(k pi / (L+1))``, ``sines[r-1, k-1] = sin(r k pi / (L+1))`` for
+    k, r = 1..L, and the transpose of ``sines`` as complex numbers, the
+    right factor of every propagator product: read-only, built once per L."""
     k = np.arange(1, n_modes + 1)
     cosines = _read_only(np.cos(k * np.pi / (n_modes + 1)))
     sines = _read_only(np.sin(np.outer(k, k) * np.pi / (n_modes + 1)))
-    return cosines, sines
+    return cosines, sines, _read_only(sines.T, complex)
 
 
 def evolve_state(
@@ -106,5 +120,5 @@ def evolve_state(
         basis = enumerate_basis(*shape)
     elif (basis.n_particles, basis.n_modes, basis.stats) != shape:
         raise ValueError(f"{basis!r} does not match N={shape[0]}, L={shape[1]}, {stats.value}")
-    coeffs = single_particle_propagator(params, tau)
+    coeffs = _propagator(params.n_modes, tau)
     return ManyBodyState(basis, _monomial_amplitudes(basis, init, coeffs))

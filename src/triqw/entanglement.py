@@ -10,14 +10,20 @@ Two quantities are computed for a three-party split of the modes:
   zero.  One batched kernel (``_eps_t_kernel``) serves the per-state
   function and the scans.  The sector decomposition depends only on the
   basis and the partition, so every caller shares one cached instance
-  per pair (``_decomposition``), with its kernel plan: the sector
-  gathers stacked by length, for one probability gather per length, and
-  the sectors whose parties all have more than one local state.  One
-  function (``_sector_blocks``) builds the normalised sector blocks for
-  ``project_sector`` and the kernel, and one (``_negativity``) cuts
-  blocks for the kernel and both public negativities, gathering every
-  partial transpose through the cached permutation of its dims
-  (``_transpose_index``).
+  per pair (``_decomposition``), with its kernel plan: the basis states
+  ordered sector by sector and grouped by sector length, for one gather
+  of their weights and one sum per length, and the sectors whose parties
+  all have more than one local state, each with its cut tables
+  (``_LiveSector``): the cached permutation of its dims
+  (``_transpose_index``) composed with the sector index and signs, so
+  the kernel reads a state's three partial transposes of a sector in one
+  gather.  ``project_sector`` builds normalised blocks
+  (``_sector_blocks``) and the public negativities cut them through the
+  same permutation (``_negativity``); the entries are the same products
+  and quotients as the kernel's, and one function takes the eigenvalues
+  of both (``_cut_negativities``), so they agree bit for bit.  A
+  per-state call checks its input once and then does only the
+  arithmetic that depends on it.
 * ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
   built from triple products of su(d) generators on the occupation-qubit
   isomorphism (``mode_qubit_tensor``, also used by the phase-grid scan),
@@ -38,6 +44,7 @@ ket's occupations in party order and that sign; the sectors and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,7 +96,7 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse the pipe syntax, e.g. ``"1,2|3,4|5,6"``."""
-        groups = text.split("|")
+        groups = text.split("|") if isinstance(text, str) else ()
         if len(groups) != 3:
             raise ValueError(f"expected three '|'-separated groups, got {text!r}")
         parts = []
@@ -175,21 +182,29 @@ class SectorDecomposition:
             dims = tuple(len(set(patterns)) for patterns in zip(*local))
             self.sectors[counts] = Sector(counts, dims, _read_only(index), _read_only(sign))
         # The kernel plan of _eps_t_kernel, fixed by the basis and the
-        # partition.  The probability groups hold one (cols, index) pair per
-        # sector length d: the (m,) positions and the (m, d) stacked index
-        # arrays of every sector of that length, so one gather and one sum
-        # over the last axis give all their probabilities.  The live sectors
-        # are the (col, sector) pairs of every sector whose local dimensions
-        # all exceed one, the only ones with non-zero negativities.
+        # partition.  The probability order lists the basis states of every
+        # sector, grouped by sector length d, for one gather of all their
+        # weights; each probability group holds the (m,) positions of the m
+        # sectors of one length, their stretch of that order and its (m, d)
+        # shape, for one sum over the last axis.  The live sectors are those
+        # whose local dimensions all exceed one, the only ones with non-zero
+        # negativities, each with its partial-transpose cut tables.
         sectors = list(self.sectors.values())
         by_length: dict[int, list[int]] = {}
         for k, sector in enumerate(sectors):
             by_length.setdefault(len(sector.index), []).append(k)
-        self._probability_groups = tuple(
-            (_read_only(cols, np.intp), _read_only([sectors[k].index for k in cols], np.intp))
-            for cols in by_length.values()
+        self._probability_order = _read_only(
+            [i for cols in by_length.values() for k in cols for i in sectors[k].index], np.intp
         )
-        self._live = tuple((k, sec) for k, sec in enumerate(sectors) if min(sec.dims) > 1)
+        groups, start = [], 0
+        for d, cols in by_length.items():
+            stretch = slice(start, start + len(cols) * d)
+            groups.append((_read_only(cols, np.intp), stretch, (len(cols), d)))
+            start = stretch.stop
+        self._probability_groups = tuple(groups)
+        self._live = tuple(
+            _live_sector(k, sec, len(basis)) for k, sec in enumerate(sectors) if min(sec.dims) > 1
+        )
 
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
@@ -199,6 +214,34 @@ class SectorDecomposition:
     def project_density(self, dm: DensityMatrix) -> list[SectorState]:
         _, stack = _decomposed(dm, self.partition, self.basis)
         return [_sector_state(sec, stack) for sec in self.sectors.values()]
+
+
+class _LiveSector(NamedTuple):
+    """Kernel plan of a sector whose local dimensions all exceed one.
+
+    Its three one-party partial transposes, as (3, D, D) read-only gather
+    tables: each cut entry is the flattened n x n density matrix at ``flat``
+    times the +-1 ``sign`` (stored complex, as the product takes it), or,
+    for a pure state, the sector's local amplitude ``rows`` times the
+    conjugate of its local amplitude ``cols``.  Both are
+    ``_transpose_index(sector.dims)`` composed with the sector's index and
+    signs, so they cut exactly the blocks of ``_sector_blocks``.
+    """
+
+    col: int
+    sector: Sector
+    flat: np.ndarray
+    sign: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def _live_sector(col: int, sector: Sector, n: int) -> _LiveSector:
+    size = len(sector.index)
+    rows, cols = np.divmod(_transpose_index(sector.dims).reshape(3, size, size), size)
+    flat = sector.index[rows] * n + sector.index[cols]
+    sign = _read_only(sector.sign[rows] * sector.sign[cols], complex)
+    return _LiveSector(col, sector, _read_only(flat), sign, _read_only(rows), _read_only(cols))
 
 
 @functools.lru_cache(maxsize=64)
@@ -213,22 +256,22 @@ def _decomposition(basis: FockBasis, partition: Partition) -> SectorDecompositio
 
 def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
     """Probability and normalized block of a batch-of-one stack in one sector."""
-    prob = _sector_probs(stack, sector.index[None])[:, 0]
+    prob = _sector_weights(stack, sector.index).sum(axis=-1).real
     rho = None
     if prob[0] > PROBABILITY_FLOOR:
         rho = DensityMatrix(sector.dims, _sector_blocks(sector, stack, np.arange(1), prob)[0])
     return SectorState(sector.counts, sector.dims, float(prob[0]), rho)
 
 
-def _sector_probs(states: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Probabilities (B, m) of the sectors of a stack of equal-length
-    indices (m, d) in a stack of (B, n) amplitude vectors or (B, n, n)
-    density matrices: the sum of ``|amp|^2`` or of the diagonal over each
-    row's basis states.  A sign of +-1 changes no modulus and no diagonal
-    entry, so it is left out."""
+def _sector_weights(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Weights (B, k) of the basis states at ``positions`` (k,) in a stack of
+    (B, n) amplitude vectors or (B, n, n) density matrices: ``|amp|^2``, or
+    the diagonal entry, kept complex.  A sector probability is the sum of
+    its states' weights, whose real part is taken after the sum.  A sign of
+    +-1 changes no modulus and no diagonal entry, so it is left out."""
     if states.ndim == 3:
-        return states[:, index, index].sum(axis=-1).real
-    return (np.abs(states[:, index]) ** 2).sum(axis=-1)
+        return states[:, positions, positions]
+    return np.abs(states[:, positions]) ** 2
 
 
 def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray:
@@ -239,9 +282,8 @@ def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray
     The block of a density matrix is its gathered entries times the product
     of the two +-1 signs, divided by the probability; a pure state's local
     amplitudes times their signs are divided by the root of the probability,
-    and the block is their outer product.  ``project_sector`` and
-    ``_eps_t_kernel`` both build their blocks here, so their entries agree
-    bit for bit.
+    and the block is their outer product.  ``_eps_t_kernel`` computes the
+    same entries, permuted by its cut tables, so the two agree bit for bit.
     """
     if states.ndim == 3:
         parts = states[rows[:, None, None], sector.index[:, None], sector.index]
@@ -308,8 +350,9 @@ def _transpose_index(dims: tuple[int, ...]) -> np.ndarray:
     transpose over party ``p`` (D = prod(dims)), the position of the
     entry of the flattened matrix it takes.  It is the one definition of
     the partial transpose: ``partial_transpose`` and ``_negativity``
-    gather through it.  Read-only, because rows are shared between
-    callers.
+    gather through it, and the kernel's cut tables (``_live_sector``)
+    compose it with a sector's index.  Read-only, because rows are shared
+    between callers.
     """
     size = math.prod(dims)
     grid = np.arange(size * size).reshape(dims + dims)
@@ -344,13 +387,19 @@ def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
 def _negativity(stack: np.ndarray, dims: tuple[int, ...], parties: list[int]) -> np.ndarray:
     """Negativities (P, len(parties)) of a (P, D, D) stack of trace-one
     density matrices on ``dims``, cut between each of ``parties`` and the
-    rest: the sum of absolute partial-transpose eigenvalues minus one,
+    rest (``_cut_negativities`` of their partial transposes)."""
+    size = stack.shape[-1]
+    transposes = stack.reshape(len(stack), -1)[:, _transpose_index(dims)[parties]]
+    return _cut_negativities(transposes.reshape(transposes.shape[:2] + (size, size)))
+
+
+def _cut_negativities(transposes: np.ndarray) -> np.ndarray:
+    """Negativities (...) of a (..., D, D) stack of partial transposes of
+    trace-one density matrices: the sum of absolute eigenvalues minus one,
     floored at 0.  The transposes are Hermitian, so one batched Hermitian
     solve takes them all; LAPACK solves each on its own, reading one
     triangle."""
-    size = stack.shape[-1]
-    transposes = stack.reshape(len(stack), -1)[:, _transpose_index(dims)[parties]]
-    eig = np.linalg.eigvalsh(transposes.reshape(transposes.shape[:2] + (size, size)))
+    eig = np.linalg.eigvalsh(transposes)
     return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
 
@@ -382,8 +431,8 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     """Batched sector negativities and ``eps_T`` of a stack of states.
 
     ``states`` is a (B, n) stack of amplitude vectors or a (B, n, n)
-    stack of density matrices on ``dec.basis``.  Returns, with sectors in
-    the order of ``dec.sectors``:
+    stack of density matrices on ``dec.basis``, already checked by the
+    caller.  Returns, with sectors in the order of ``dec.sectors``:
 
     * ``probs`` (B, S), set to exactly 0 at or below PROBABILITY_FLOOR;
     * ``negs`` (B, S, 4): N_A|BC, N_B|AC, N_C|AB and their geometric
@@ -393,30 +442,45 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
       noise on the zero factor);
     * ``eps_t`` (B,), the probability-weighted sum of the TPN.
 
-    Nothing loops over every sector: the decomposition's kernel plan
-    fixes the gathers.  One gather and one sum over the last axis per
-    sector length fill every column of ``probs``; a sector with a
-    one-dimensional party needs nothing more.  Each live sector (every
-    local dimension > 1; for three particles at most (1, 1, 1)) builds
-    the blocks of up to _EIGENSOLVE_CHUNK of its states above the floor
-    (``_sector_blocks``) and cuts each of them three ways in one
-    ``_negativity`` call.  On a batch of one, both give bit for bit what
+    Everything fixed by the basis and the partition comes from the
+    decomposition's kernel plan, so a call does only the arithmetic that
+    depends on ``states``.  One gather of the basis states' weights, and
+    one sum over the last axis per sector length, fill every column of
+    ``probs``; a sector with a one-dimensional party needs nothing more.
+    Each live sector (every local dimension > 1; for three particles at
+    most (1, 1, 1)) reads the (P, 3, D, D) stack of the three partial
+    transposes of up to _EIGENSOLVE_CHUNK of its states above the floor
+    in one gather through its cut tables, divides by the probabilities (a
+    pure state's local amplitudes by their root, before the products), and
+    takes the three cuts in one stacked eigensolve.  Entry for entry this
+    is the arithmetic of ``_sector_blocks`` and
+    ``_negativity``, so on a batch of one it gives bit for bit what
     ``project_sector``, ``bipartite_negativity`` and
-    ``tripartite_negativity`` give on the same sector; numpy may order the
-    sums of a longer batch differently.
+    ``tripartite_negativity`` give on the same sector; numpy may order
+    the sums of a longer batch differently.
     """
-    probs = np.zeros((len(states), len(dec.sectors)))
-    for cols, index in dec._probability_groups:
-        probs[:, cols] = _sector_probs(states, index)
+    weights = _sector_weights(states, dec._probability_order)
+    probs = np.empty((len(states), len(dec.sectors)))
+    for cols, stretch, shape in dec._probability_groups:
+        probs[:, cols] = weights[:, stretch].reshape((len(states),) + shape).sum(axis=-1).real
     probs[probs <= PROBABILITY_FLOOR] = 0.0
     negs = np.zeros(probs.shape + (4,))
-    for col, sector in dec._live:
-        rows = np.flatnonzero(probs[:, col])
+    flat = states.reshape(len(states), -1)
+    for live in dec._live:
+        rows = probs[:, live.col].nonzero()[0]
         for lo in range(0, len(rows), _EIGENSOLVE_CHUNK):
             b = rows[lo : lo + _EIGENSOLVE_CHUNK]
-            blocks = _sector_blocks(sector, states, b, probs[b, col])
-            cuts = _negativity(blocks, sector.dims, [0, 1, 2])
-            negs[b, col] = np.column_stack([cuts, np.cbrt(cuts.prod(axis=-1))])
+            prob = probs[b, live.col]
+            if states.ndim == 3:
+                cuts = flat[b[:, None, None, None], live.flat] * live.sign
+                cuts /= prob[:, None, None, None]
+            else:
+                sector = live.sector
+                normed = states[b[:, None], sector.index] * sector.sign / np.sqrt(prob)[:, None]
+                cuts = normed[:, live.rows] * normed[:, live.cols].conj()
+            cut_negs = _cut_negativities(cuts)
+            negs[b, live.col, :3] = cut_negs
+            negs[b, live.col, 3] = np.cbrt(cut_negs.prod(axis=-1))
     return probs, negs, (probs * negs[..., 3]).sum(axis=1)
 
 
@@ -464,11 +528,10 @@ def entanglement_of_particles(
     dec, stack = _decomposed(state, partition, basis)
     _check_normalised("eps_T", state)
     probs, negs, eps_t = _eps_t_kernel(dec, stack)
-    records = tuple(
-        SectorRecord(counts, prob, *sector_negs)
-        for counts, prob, sector_negs in zip(dec.sectors, probs[0].tolist(), negs[0].tolist())
-        if prob > 0.0
-    )
+    sector_probs = probs[0].tolist()
+    rows = zip(dec.sectors, sector_probs, *negs[0].T.tolist())
+    kept = [prob > 0.0 for prob in sector_probs]
+    records = tuple(map(SectorRecord._make, itertools.compress(rows, kept)))
     return EntanglementReport(records, float(eps_t[0]))
 
 

@@ -11,9 +11,14 @@ Conventions used throughout the package:
   the operator application rules below.
 * ``_integer`` is the package's one integer check of caller input,
   ``_real`` its one check of a time, and ``_occupations`` its one check
-  of a walk's initial occupation.
+  of a walk's initial occupation.  Each public call checks its input
+  once; the private paths behind it take checked input.
 * ``_monomial_amplitudes`` is the one path to monomial amplitudes: one
   cached plan per basis and initial occupation, for a stack of matrices.
+  The plan holds everything but the coefficients: the creation from the
+  vacuum as one gather of the coefficient row, each later creation as
+  gathers and one accumulation of real and imaginary parts, and the
+  norm.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ class Statistics(Enum):
     def from_name(cls, name: str) -> "Statistics":
         try:
             return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown statistics {name!r}; use 'bosons' or 'fermions'")
+        except (AttributeError, ValueError):
+            raise ValueError(f"unknown statistics {name!r}; use 'bosons' or 'fermions'") from None
 
 
 def _integer(value, message: str, low: int = 0, high: int | None = None) -> int:
@@ -240,16 +245,30 @@ def _expansion_plan(basis: FockBasis, init: tuple[int, ...]):
     Runs the expansion loop on symbols only: factors are applied in
     descending mode order, terms in insertion order, creations in
     ascending mode order, and every coefficient adds a term, zero or not.
-    Returns ``(steps, positions)``.  Each step is ``(src, col, factor,
-    dst, size)``: term ``j`` of the step adds ``terms[src[j]] *
-    coeffs.flat[col[j]] * factor[j]`` to new term ``dst[j]`` of ``size``,
-    where ``col`` indexes the flattened L x L matrix.  ``positions`` holds
-    the basis index of every final term.  All arrays are read-only,
-    because plans are shared between calls.
+    Terms are held as the float view of their complex values, real and
+    imaginary parts interleaved.  A coefficient matrix is read as its
+    parts: its float view, followed by its negated imaginary parts.
+    Returns ``(first, steps, positions, norm)``:
+
+    * ``first``, the creation from the vacuum, is the (2L,) positions of
+      its terms' parts, None when ``init`` has no particle.  Each of its
+      factors is one (sqrt(0 + 1) for bosons, no occupied mode to the
+      left for fermions), so its terms are the coefficients themselves;
+    * each later step is ``(src, col, factor, dst, size)``: term ``j``
+      (m of them) multiplies old term ``(ar, ai)`` by coefficient ``(cr,
+      ci)`` and by ``factor[j]``, and adds the product to new term
+      ``dst[j]`` of ``size``.  Column ``j`` of ``src`` (4, m) gathers
+      ``ar, ar, ai, ai`` from the old terms, and of ``col`` (4, m) ``cr,
+      ci, -ci, cr`` from the parts; ``dst`` (2m,) places the real parts,
+      then the imaginary parts, in the new terms;
+    * ``positions`` holds the basis index of every final term, and
+      ``norm`` is ``sqrt(prod_p n_p!)``.
+
+    All arrays are read-only, because plans are shared between calls.
     """
     L = basis.n_modes
     terms = {(0,) * L: 0}
-    steps = []
+    first, steps = None, []
     for row in range(L - 1, -1, -1):
         for _ in range(init[row]):
             new: dict[tuple[int, ...], int] = {}
@@ -263,11 +282,20 @@ def _expansion_plan(basis: FockBasis, init: tuple[int, ...]):
                     col.append(row * L + i)
                     factors.append(created[0])
                     dst.append(new.setdefault(created[1], len(new)))
-            arrays = (_read_only(src, np.intp), _read_only(col, np.intp))
-            arrays += (_read_only(factors, float), _read_only(dst, np.intp))
-            steps.append((*arrays, len(new)))
+            re, neg = np.multiply(col, 2), np.add(col, 2 * L * L)
+            if first is None:
+                # From the vacuum, creation i makes new term i: a gather.
+                first = _read_only(np.column_stack([re, re + 1]).reshape(-1), np.intp)
+            else:
+                ar = np.multiply(src, 2)
+                src = _read_only([ar, ar, ar + 1, ar + 1], np.intp)
+                col = _read_only([re, re + 1, neg, re], np.intp)
+                dst = _read_only((np.multiply(dst, 2) + [[0], [1]]).reshape(-1), np.intp)
+                steps.append((src, col, _read_only(factors, float), dst, len(new)))
             terms = new
-    return tuple(steps), _read_only([basis.index(occ) for occ in terms], np.intp)
+    positions = _read_only([basis.index(occ) for occ in terms], np.intp)
+    norm = math.sqrt(math.prod(math.factorial(n) for n in init))
+    return first, tuple(steps), positions, norm
 
 
 def _read_only(values, dtype=None) -> np.ndarray:
@@ -279,36 +307,42 @@ def _read_only(values, dtype=None) -> np.ndarray:
 
 def _monomial_amplitudes(basis: FockBasis, init: tuple[int, ...], coeffs: np.ndarray) -> np.ndarray:
     """``(..., len(basis))`` amplitudes of ``init``'s monomial (checked by the
-    caller) for the ``(..., L, L)`` complex ``coeffs``, one matrix at a time
-    through the cached ``_expansion_plan``: only gathers, multiplies and
-    sums, bit for bit the per-term loop ``new[occ2] = new.get(occ2, 0j) +
-    amp * c * factor``:
+    caller) for the C-contiguous ``(..., L, L)`` complex ``coeffs``, one
+    matrix at a time through the cached ``_expansion_plan``: only gathers,
+    multiplies and sums, bit for bit the per-term loop ``new[occ2] =
+    new.get(occ2, 0j) + amp * c * factor``:
 
+    * the creation from the vacuum is one gather of the coefficient row's
+      parts; adding it to +0, as the loop does, gives each zero the
+      loop's sign;
     * ``amp * c`` is numpy's scalar complex product, written out on real
       and imaginary parts, because the vectorised complex product can
-      differ from it in the last bit;
+      differ from it in the last bit: one product of the plan's gathers
+      gives ``ar cr``, ``ar ci``, ``ai (-ci)`` and ``ai cr``, and one sum
+      of its two halves the real part ``ar cr - ai ci`` (adding the
+      negated product is subtracting it) and the imaginary part;
     * the scalar product by ``factor + 0i`` differs from scaling both
       parts by ``factor`` only in the sign of a zero, and no zero's sign
       reaches an amplitude: every sum starts from +0;
-    * ``np.bincount`` adds each amplitude's terms in the loop's order.
+    * ``np.bincount`` adds each amplitude's terms in the loop's order,
+      real and imaginary parts in one call.
+
+    The empty monomial (N = 0) is the vacuum, amplitude one.
     """
-    steps, positions = _expansion_plan(basis, init)
+    first, steps, positions, norm = _expansion_plan(basis, init)
     flat = coeffs.reshape(-1, basis.n_modes**2)
-    norm = math.sqrt(math.prod(math.factorial(n) for n in init))
-    amps = np.full((len(flat), len(basis)), 0j)
-    for mat, amp in zip(flat, amps):
-        re, im = np.array([1.0]), np.array([0.0])  # the vacuum, 1 + 0i
+    amps = np.zeros((len(flat), len(basis)), dtype=complex)
+    for parts, amp in zip(np.concatenate((flat.view(float), -flat.imag), axis=1), amps):
+        if first is None:
+            terms = np.array([1.0, 0.0])  # the vacuum, 1 + 0i
+        else:
+            terms = parts[first] + 0.0
         for src, col, factor, dst, size in steps:
-            ar, ai = re[src], im[src]
-            c = mat[col]
-            cr, ci = c.real, c.imag
-            pr = (ar * cr - ai * ci) * factor
-            pi = (ar * ci + ai * cr) * factor
-            re = np.bincount(dst, weights=pr, minlength=size)
-            im = np.bincount(dst, weights=pi, minlength=size)
-        values = np.empty(len(re), dtype=complex)
-        values.real, values.imag = re, im
-        amp[positions] = values / norm
+            prods = terms[src] * parts[col]
+            w = prods[:2] + prods[2:]
+            w *= factor
+            terms = np.bincount(dst, weights=w.reshape(-1), minlength=2 * size)
+        amp[positions] = terms.view(complex) / norm
     return amps.reshape(coeffs.shape[:-2] + (len(basis),))
 
 
@@ -325,7 +359,7 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
     init = _occupations(init, basis.n_modes, basis.stats)
     if sum(init) != basis.n_particles:
         raise ValueError("initial occupation does not match the basis")
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
     if coeffs.shape != (basis.n_modes, basis.n_modes):
         raise ValueError("coefficient matrix must be L x L")
     return ManyBodyState(basis, _monomial_amplitudes(basis, init, coeffs))

@@ -12,8 +12,10 @@ capped (MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
 memory grows with them; larger requests are rejected before anything is
 allocated.  The walk and the snapshot check their initial occupation
 (``fock._occupations``) and time (``fock._real``) once, before they build
-anything from them.  Each default (GRID_STEPS, TAU_MAX, TIME_SAMPLES) is
-named once, here; the CLI imports it.  The chain has no energy parameter.
+anything from them, and hand the checked times to the propagator
+(``dynamics._propagator``) without a second check.  Each default
+(GRID_STEPS, TAU_MAX, TIME_SAMPLES) is named once, here; the CLI imports
+it.  The chain has no energy parameter.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LatticeParams, single_particle_propagator
+from .dynamics import _propagator
 from .entanglement import (
     Partition,
     entanglement_of_particles,
@@ -136,7 +138,7 @@ def walk_scan(
     basis = enumerate_basis(sum(init), len(init), stats)
     dec = _decomposition(basis, partition)
     taus = np.linspace(0.0, tau_max, steps)
-    coeffs = single_particle_propagator(LatticeParams(len(init)), taus)
+    coeffs = _propagator(len(init), taus)
     amps = _monomial_amplitudes(basis, init, coeffs)
     probs, negs, eps_t = _eps_t_kernel(dec, amps)
     single = np.zeros((steps, 5))
@@ -150,7 +152,7 @@ def snapshot(stats: Statistics, tau: float, init=WALK_INIT) -> dict:
     """Density, pair-correlation matrix and distance histogram at one time."""
     init = _occupations(init, stats=stats)
     tau = _real(tau, "tau")
-    prop = single_particle_propagator(LatticeParams(len(init)), tau)
+    prop = _propagator(len(init), tau)
     gamma = two_particle_correlation(prop, init, stats)
     return {
         "tau": tau,

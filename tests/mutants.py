@@ -71,14 +71,26 @@ MUTANTS = [
     (
         "pure-block-signs-dropped",
         "entanglement.py",
-        "sector.index] * sector.sign / np.sqrt(prob)",
-        "sector.index] / np.sqrt(prob)",
+        "states[rows[:, None], sector.index] * sector.sign / np.sqrt(prob)",
+        "states[rows[:, None], sector.index] / np.sqrt(prob)",
+    ),
+    (
+        "kernel-pure-signs-dropped",
+        "entanglement.py",
+        "states[b[:, None], sector.index] * sector.sign / np.sqrt(prob)",
+        "states[b[:, None], sector.index] / np.sqrt(prob)",
+    ),
+    (
+        "cut-sign-dropped",
+        "entanglement.py",
+        "sign = _read_only(sector.sign[rows] * sector.sign[cols], complex)",
+        "sign = _read_only(np.abs(sector.sign[rows] * sector.sign[cols]), complex)",
     ),
     (
         "tpn-arithmetic-mean",
         "entanglement.py",
-        "negs[b, col] = np.column_stack([cuts, np.cbrt(cuts.prod(axis=-1))])",
-        "negs[b, col] = np.column_stack([cuts, cuts.mean(axis=-1)])",
+        "negs[b, live.col, 3] = np.cbrt(cut_negs.prod(axis=-1))",
+        "negs[b, live.col, 3] = cut_negs.mean(axis=-1)",
     ),
     (
         "public-tpn-arithmetic-mean",
@@ -174,10 +186,16 @@ MUTANTS = [
         "for row in range(L):",
     ),
     (
+        "first-creation-zero-sign-kept",
+        "fock.py",
+        "terms = parts[first] + 0.0",
+        "terms = parts[first]",
+    ),
+    (
         "stack-first-matrix-only",
         "fock.py",
-        "for mat, amp in zip(flat, amps):",
-        "for mat, amp in zip(flat[[0] * len(flat)], amps):",
+        "-flat.imag), axis=1), amps):",
+        "-flat.imag), axis=1)[[0] * len(flat)], amps):",
     ),
     (
         "propagator-phases-on-row-axis",

@@ -1,4 +1,7 @@
-"""The package facade: ``triqw.__all__`` grows or shrinks only on purpose."""
+"""The package facade: ``triqw.__all__`` grows or shrinks only on purpose, and its
+text parsers reject what is not text."""
+
+import re
 
 import pytest
 
@@ -56,3 +59,13 @@ def test_result_types_live_in_their_modules(module, name):
     ``enumerate_basis``; they stay importable from their modules."""
     assert not hasattr(triqw, name)
     assert isinstance(getattr(getattr(triqw, module), name), type)
+
+
+@pytest.mark.parametrize("value", [3, None, 2.5, ["bosons"], b"1,2|3,4|5,6"])
+@pytest.mark.parametrize(
+    "parse", [triqw.Statistics.from_name, triqw.Partition.parse], ids=["from_name", "parse"]
+)
+def test_text_parsers_reject_a_non_string_with_value_error(parse, value):
+    # argparse passes strings, so only library callers can pass these
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        parse(value)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import evolve_state_oracle, many_body_hamiltonian
@@ -62,15 +62,16 @@ class TestPropagator:
             assert np.abs(mat - mat.T).max() <= 1e-12
 
     def test_cached_sine_basis_is_read_only_and_shared(self):
-        cosines, sines = _sine_basis(6)
+        cosines, sines, sines_t = _sine_basis(6)
         again = _sine_basis(6)
-        assert again[0] is cosines and again[1] is sines
-        for table in (cosines, sines):
+        assert again[0] is cosines and again[1] is sines and again[2] is sines_t
+        for table in (cosines, sines, sines_t):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
         k = np.arange(1, 7)
         assert cosines.tobytes() == np.cos(k * np.pi / 7).tobytes()
         assert sines.tobytes() == np.sin(np.outer(k, k) * np.pi / 7).tobytes()
+        assert sines_t.dtype == complex and np.array_equal(sines_t, sines.T)
 
     def test_an_array_of_times_stacks_the_per_time_matrices(self):
         taus = np.linspace(-5.0, 20.0, 41)
@@ -100,6 +101,15 @@ class TestPropagator:
         )
         stack = single_particle_propagator(params, np.arange(4, dtype=np.uint8))
         assert stack.tobytes() == single_particle_propagator(params, np.arange(4.0)).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_largest_time_with_finite_phases_is_accepted(self, sign):
+        # 2 tau stays finite up to half the largest float, and overflows above
+        largest = sign * np.finfo(float).max / 2
+        for tau in (largest, np.array([0.0, largest])):
+            assert np.isfinite(single_particle_propagator(LatticeParams(6), tau)).all()
+        with pytest.raises(ValueError, match="gives non-finite propagator phases"):
+            single_particle_propagator(LatticeParams(6), np.nextafter(largest, sign * np.inf))
 
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
@@ -219,6 +229,8 @@ class TestEvolution:
 
     @settings(max_examples=60, deadline=None)
     @given(case=walk_cases(), tau=st.floats(0.0, 20.0))
+    @example(case=((0,), BOS), tau=1.5)  # the empty plan, N = 0
+    @example(case=((0, 0, 1, 0), FER), tau=2.5)  # the first creation alone, N = 1
     def test_matches_exponential_oracle_on_random_walks(self, case, tau):
         init, stats = case
         params = LatticeParams(len(init))

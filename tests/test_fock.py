@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -268,6 +268,16 @@ def monomial_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=monomial_cases())
+# the empty monomial (the vacuum), and one particle from the vacuum alone,
+# whose coefficients carry negative zeros
+@example(case=(enumerate_basis(0, 1, BOS), np.array([[0.5 - 0.25j]]), (0,)))
+@example(
+    case=(
+        enumerate_basis(1, 3, FER),
+        np.array([[1j, 0j, 2.0], [complex(-0.0, 0.5), complex(0.5, -0.0), -0j], [0j] * 3]),
+        (0, 1, 0),
+    )
+)
 def test_monomial_state_is_bit_identical_to_per_call_expansion(case):
     # bytes, not values: equal bits also pin the signs of zeros
     basis, coeffs, init = case
@@ -292,12 +302,12 @@ class TestWalkAmplitudePath:
                 monkeypatch.setattr(owner, name, counted)
 
     def test_default_walk_scan_checks_once_and_builds_once(self, monkeypatch):
-        calls = {"_occupations": 0, "single_particle_propagator": 0}
+        calls = {"_occupations": 0, "_propagator": 0}
         self.count_calls(monkeypatch, calls, triqw.fock, "_occupations")
-        self.count_calls(monkeypatch, calls, triqw.dynamics, "single_particle_propagator")
+        self.count_calls(monkeypatch, calls, triqw.dynamics, "_propagator")
         _expansion_plan.cache_clear()
         walk_scan(BOS, ADJACENT_PARTITION)
-        assert calls == {"_occupations": 1, "single_particle_propagator": 1}
+        assert calls == {"_occupations": 1, "_propagator": 1}
         info = _expansion_plan.cache_info()
         assert (info.misses, info.hits) == (1, 0)
 
@@ -322,11 +332,20 @@ class TestWalkAmplitudePath:
         for mat, amp in zip(stack, amps):
             assert amp.tobytes() == build_monomial_state(basis, mat, WALK_INIT).amp.tobytes()
 
+    def test_a_strided_coefficient_view_is_read_by_value(self):
+        basis = enumerate_basis(3, 6, FER)
+        coeffs = single_particle_propagator(LatticeParams(6), 1.7)
+        wide = np.zeros((6, 12), dtype=complex)
+        wide[:, ::2] = coeffs
+        state = build_monomial_state(basis, wide[:, ::2], WALK_INIT)
+        assert state.amp.tobytes() == build_monomial_state(basis, coeffs, WALK_INIT).amp.tobytes()
+
     def test_plan_arrays_are_read_only(self):
-        steps, positions = _expansion_plan(enumerate_basis(3, 6, BOS), WALK_INIT)
+        first, steps, positions, norm = _expansion_plan(enumerate_basis(3, 6, BOS), WALK_INIT)
         arrays = [arr for step in steps for arr in step if isinstance(arr, np.ndarray)]
-        assert len(arrays) == 4 * len(steps) == 12
-        for arr in arrays + [positions]:
+        assert len(arrays) == 4 * len(steps) == 8
+        assert first.shape == (12,) and norm == 1.0
+        for arr in arrays + [first, positions]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[0]
 
