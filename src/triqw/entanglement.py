@@ -13,16 +13,13 @@ Two quantities are computed for a three-party split of the modes:
   per pair (``_decomposition``), with its kernel plan: the basis states
   ordered sector by sector and grouped by sector length, for one gather
   of their weights and one sum per length, and the sectors whose parties
-  all have more than one local state, each with its cut tables
-  (``_LiveSector``): the cached permutation of its dims
-  (``_transpose_index``) composed with the sector index and signs, so
-  the kernel reads a state's three partial transposes of a sector in one
-  gather.  ``project_sector`` builds normalised blocks
-  (``_sector_blocks``) and the public negativities cut them through the
-  same permutation (``_negativity``); the entries are the same products
-  and quotients as the kernel's, and one function takes the eigenvalues
-  of both (``_cut_negativities``), so they agree bit for bit.  A
-  per-state call checks its input once and then does only the
+  all have more than one local state.  There is one block path and one
+  negativity path: ``_sector_blocks`` builds the normalised blocks of a
+  sector, and ``_negativity`` cuts them through the cached permutation
+  of their dims (``_transpose_index``) and takes the eigenvalues of all
+  one-party cuts in one call.  The kernel, ``project_sector`` and the
+  public negativities all go through them, so they agree bit for bit.
+  A per-state call checks its input once and then does only the
   arithmetic that depends on it.
 * ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
   built from triple products of su(d) generators on the occupation-qubit
@@ -55,9 +52,10 @@ from .fock import DensityMatrix, FockBasis, ManyBodyState, _integer, _integers, 
 
 PROBABILITY_FLOOR = 1e-14
 NEGATIVITY_TRACE_TOL = 1e-10
-# States per eigensolve call in _eps_t_kernel.  A call stacks the three
-# partial transposes of its states, so a long batch goes in chunks and the
-# stack stays small next to the batch's own blocks.
+# States per chunk in _eps_t_kernel.  A chunk holds the sector blocks of
+# its states and their three partial transposes for one eigensolve call,
+# so a long batch goes in chunks and those stacks stay small next to the
+# batch itself.
 _EIGENSOLVE_CHUNK = 32
 
 
@@ -186,9 +184,9 @@ class SectorDecomposition:
         # sector, grouped by sector length d, for one gather of all their
         # weights; each probability group holds the (m,) positions of the m
         # sectors of one length, their stretch of that order and its (m, d)
-        # shape, for one sum over the last axis.  The live sectors are those
-        # whose local dimensions all exceed one, the only ones with non-zero
-        # negativities, each with its partial-transpose cut tables.
+        # shape, for one sum over the last axis.  The live sectors are the
+        # (column, Sector) pairs of the sectors whose local dimensions all
+        # exceed one, the only ones with non-zero negativities.
         sectors = list(self.sectors.values())
         by_length: dict[int, list[int]] = {}
         for k, sector in enumerate(sectors):
@@ -202,9 +200,7 @@ class SectorDecomposition:
             groups.append((_read_only(cols, np.intp), stretch, (len(cols), d)))
             start = stretch.stop
         self._probability_groups = tuple(groups)
-        self._live = tuple(
-            _live_sector(k, sec, len(basis)) for k, sec in enumerate(sectors) if min(sec.dims) > 1
-        )
+        self._live = tuple((k, sec) for k, sec in enumerate(sectors) if min(sec.dims) > 1)
 
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
@@ -214,34 +210,6 @@ class SectorDecomposition:
     def project_density(self, dm: DensityMatrix) -> list[SectorState]:
         _, stack = _decomposed(dm, self.partition, self.basis)
         return [_sector_state(sec, stack) for sec in self.sectors.values()]
-
-
-class _LiveSector(NamedTuple):
-    """Kernel plan of a sector whose local dimensions all exceed one.
-
-    Its three one-party partial transposes, as (3, D, D) read-only gather
-    tables: each cut entry is the flattened n x n density matrix at ``flat``
-    times the +-1 ``sign`` (stored complex, as the product takes it), or,
-    for a pure state, the sector's local amplitude ``rows`` times the
-    conjugate of its local amplitude ``cols``.  Both are
-    ``_transpose_index(sector.dims)`` composed with the sector's index and
-    signs, so they cut exactly the blocks of ``_sector_blocks``.
-    """
-
-    col: int
-    sector: Sector
-    flat: np.ndarray
-    sign: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-
-
-def _live_sector(col: int, sector: Sector, n: int) -> _LiveSector:
-    size = len(sector.index)
-    rows, cols = np.divmod(_transpose_index(sector.dims).reshape(3, size, size), size)
-    flat = sector.index[rows] * n + sector.index[cols]
-    sign = _read_only(sector.sign[rows] * sector.sign[cols], complex)
-    return _LiveSector(col, sector, _read_only(flat), sign, _read_only(rows), _read_only(cols))
 
 
 @functools.lru_cache(maxsize=64)
@@ -282,8 +250,8 @@ def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray
     The block of a density matrix is its gathered entries times the product
     of the two +-1 signs, divided by the probability; a pure state's local
     amplitudes times their signs are divided by the root of the probability,
-    and the block is their outer product.  ``_eps_t_kernel`` computes the
-    same entries, permuted by its cut tables, so the two agree bit for bit.
+    and the block is their outer product.  The one block path of
+    ``_eps_t_kernel`` and ``project_sector``.
     """
     if states.ndim == 3:
         parts = states[rows[:, None, None], sector.index[:, None], sector.index]
@@ -350,9 +318,8 @@ def _transpose_index(dims: tuple[int, ...]) -> np.ndarray:
     transpose over party ``p`` (D = prod(dims)), the position of the
     entry of the flattened matrix it takes.  It is the one definition of
     the partial transpose: ``partial_transpose`` and ``_negativity``
-    gather through it, and the kernel's cut tables (``_live_sector``)
-    compose it with a sector's index.  Read-only, because rows are shared
-    between callers.
+    gather through it.  Read-only, because rows are shared between
+    callers.
     """
     size = math.prod(dims)
     grid = np.arange(size * size).reshape(dims + dims)
@@ -384,22 +351,17 @@ def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
     return DensityMatrix(rho.dims, mat.reshape(rho.mat.shape))
 
 
-def _negativity(stack: np.ndarray, dims: tuple[int, ...], parties: list[int]) -> np.ndarray:
-    """Negativities (P, len(parties)) of a (P, D, D) stack of trace-one
-    density matrices on ``dims``, cut between each of ``parties`` and the
-    rest (``_cut_negativities`` of their partial transposes)."""
-    size = stack.shape[-1]
-    transposes = stack.reshape(len(stack), -1)[:, _transpose_index(dims)[parties]]
-    return _cut_negativities(transposes.reshape(transposes.shape[:2] + (size, size)))
-
-
-def _cut_negativities(transposes: np.ndarray) -> np.ndarray:
-    """Negativities (...) of a (..., D, D) stack of partial transposes of
-    trace-one density matrices: the sum of absolute eigenvalues minus one,
-    floored at 0.  The transposes are Hermitian, so one batched Hermitian
-    solve takes them all; LAPACK solves each on its own, reading one
+def _negativity(stack: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Negativities (P, len(dims)) of a (P, D, D) stack of trace-one
+    density matrices on ``dims``, cut between each party and the rest:
+    the sum of absolute eigenvalues of the partial transpose minus one,
+    floored at 0.  One gather through ``_transpose_index`` takes every
+    cut, and the transposes are Hermitian, so one batched Hermitian solve
+    takes them all; LAPACK solves each on its own, reading one
     triangle."""
-    eig = np.linalg.eigvalsh(transposes)
+    size = stack.shape[-1]
+    transposes = stack.reshape(len(stack), -1)[:, _transpose_index(dims)]
+    eig = np.linalg.eigvalsh(transposes.reshape(transposes.shape[:2] + (size, size)))
     return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
 
@@ -412,7 +374,7 @@ def bipartite_negativity(rho: DensityMatrix, party: int) -> float:
     """
     party = _check_party(rho, party)
     _check_normalised("negativity", rho)
-    return float(_negativity(rho.mat[None], rho.dims, [party])[0, 0])
+    return float(_negativity(rho.mat[None], rho.dims)[0, party])
 
 
 def tripartite_negativity(rho: DensityMatrix) -> float:
@@ -420,7 +382,7 @@ def tripartite_negativity(rho: DensityMatrix) -> float:
     if len(rho.dims) != 3:
         raise ValueError("tripartite negativity needs dims (d_A, d_B, d_C)")
     _check_normalised("negativity", rho)
-    return float(np.cbrt(_negativity(rho.mat[None], rho.dims, [0, 1, 2])[0].prod()))
+    return float(np.cbrt(_negativity(rho.mat[None], rho.dims)[0].prod()))
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +409,14 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     depends on ``states``.  One gather of the basis states' weights, and
     one sum over the last axis per sector length, fill every column of
     ``probs``; a sector with a one-dimensional party needs nothing more.
-    Each live sector (every local dimension > 1; for three particles at
-    most (1, 1, 1)) reads the (P, 3, D, D) stack of the three partial
-    transposes of up to _EIGENSOLVE_CHUNK of its states above the floor
-    in one gather through its cut tables, divides by the probabilities (a
-    pure state's local amplitudes by their root, before the products), and
-    takes the three cuts in one stacked eigensolve.  Entry for entry this
-    is the arithmetic of ``_sector_blocks`` and
-    ``_negativity``, so on a batch of one it gives bit for bit what
-    ``project_sector``, ``bipartite_negativity`` and
-    ``tripartite_negativity`` give on the same sector; numpy may order
-    the sums of a longer batch differently.
+    For each live sector (every local dimension > 1; for three particles
+    at most (1, 1, 1)), up to _EIGENSOLVE_CHUNK of its states above the
+    floor at a time, ``_sector_blocks`` builds their normalised blocks
+    and ``_negativity`` takes the three cuts in one stacked eigensolve.
+    Those are the functions behind ``project_sector``,
+    ``bipartite_negativity`` and ``tripartite_negativity``, so on a batch
+    of one the kernel gives bit for bit what they give on the same
+    sector; numpy may order the sums of a longer batch differently.
     """
     weights = _sector_weights(states, dec._probability_order)
     probs = np.empty((len(states), len(dec.sectors)))
@@ -465,22 +424,13 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
         probs[:, cols] = weights[:, stretch].reshape((len(states),) + shape).sum(axis=-1).real
     probs[probs <= PROBABILITY_FLOOR] = 0.0
     negs = np.zeros(probs.shape + (4,))
-    flat = states.reshape(len(states), -1)
-    for live in dec._live:
-        rows = probs[:, live.col].nonzero()[0]
+    for k, sector in dec._live:
+        rows = probs[:, k].nonzero()[0]
         for lo in range(0, len(rows), _EIGENSOLVE_CHUNK):
             b = rows[lo : lo + _EIGENSOLVE_CHUNK]
-            prob = probs[b, live.col]
-            if states.ndim == 3:
-                cuts = flat[b[:, None, None, None], live.flat] * live.sign
-                cuts /= prob[:, None, None, None]
-            else:
-                sector = live.sector
-                normed = states[b[:, None], sector.index] * sector.sign / np.sqrt(prob)[:, None]
-                cuts = normed[:, live.rows] * normed[:, live.cols].conj()
-            cut_negs = _cut_negativities(cuts)
-            negs[b, live.col, :3] = cut_negs
-            negs[b, live.col, 3] = np.cbrt(cut_negs.prod(axis=-1))
+            cut = _negativity(_sector_blocks(sector, states, b, probs[b, k]), sector.dims)
+            negs[b, k, :3] = cut
+            negs[b, k, 3] = np.cbrt(cut.prod(axis=-1))
     return probs, negs, (probs * negs[..., 3]).sum(axis=1)
 
 

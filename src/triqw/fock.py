@@ -10,9 +10,11 @@ Conventions used throughout the package:
   convention ket labels are sign-free and every fermionic sign lives in
   the operator application rules below.
 * ``_integer`` is the package's one integer check of caller input,
-  ``_real`` its one check of a time, and ``_occupations`` its one check
-  of a walk's initial occupation.  Each public call checks its input
-  once; the private paths behind it take checked input.
+  ``_real`` its one check of a time or a phase, ``_occupations`` its one
+  check of a walk's initial occupation, and ``_complex_array`` its one
+  conversion of an amplitude vector or a density matrix.  Each public
+  call checks its input once; the private paths behind it take checked
+  input.
 * ``_monomial_amplitudes`` is the one path to monomial amplitudes: one
   cached plan per basis and initial occupation, for a stack of matrices.
   The plan holds everything but the coefficients: the creation from the
@@ -66,12 +68,24 @@ def _integer(value, message: str, low: int = 0, high: int | None = None) -> int:
     return checked
 
 
-def _real(value, name: str) -> float:
+def _real(value, name: str, finite: bool = False) -> float:
     """``value`` as a Python float for a Python or numpy real scalar, else
-    ValueError: bools, strings, complex numbers, None and arrays fail."""
+    ValueError: bools, strings, complex numbers, None and arrays fail, and
+    with ``finite`` so do nan and +-inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
     return float(value)
+
+
+def _complex_array(values, name: str) -> np.ndarray:
+    """``values`` as a complex array, else ValueError: numpy raises
+    TypeError for an entry that is no number, such as ``object()``."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except TypeError:
+        raise ValueError(f"{name} must hold numbers, got {values!r}") from None
 
 
 def _integers(values, message: str, low: int = 0) -> tuple[int, ...]:
@@ -188,7 +202,7 @@ class ManyBodyState:
     amp: np.ndarray
 
     def __post_init__(self):
-        self.amp = np.asarray(self.amp, dtype=complex)
+        self.amp = _complex_array(self.amp, "amplitude vector")
         if self.amp.shape != (len(self.basis),):
             raise ValueError(
                 f"amplitude vector has shape {self.amp.shape}, basis has {len(self.basis)} states"
@@ -216,7 +230,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.dims = _integers(self.dims, "density matrix dims must be positive integers", low=1)
-        self.mat = np.asarray(self.mat, dtype=complex)
+        self.mat = _complex_array(self.mat, "density matrix")
         d = math.prod(self.dims)
         if self.mat.shape != (d, d):
             raise ValueError(f"matrix shape {self.mat.shape} does not match dims {self.dims}")

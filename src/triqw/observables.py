@@ -12,7 +12,8 @@ of the Fock dimension:
 
 Occupations are checked by ``fock._occupations``: non-negative integers,
 at most one per site for fermions; floats such as ``1.0`` are rejected.
-Each propagator or pair matrix is checked by ``_square``.
+Each propagator or pair matrix is checked by ``_square``: a non-empty
+square matrix of numbers.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from .fock import Statistics, _occupations
 
 
 def _square(matrix, name: str) -> np.ndarray:
-    """``matrix`` as an array, else ValueError: a non-empty square matrix."""
+    """``matrix`` as an array, else ValueError: a non-empty square matrix of
+    integer, float or complex numbers."""
     mat = np.asarray(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
-        raise ValueError(f"{name} must be a non-empty square matrix, got shape {mat.shape}")
+    square = mat.ndim == 2 and mat.shape[0] == mat.shape[1] and mat.size
+    if not square or mat.dtype.kind not in "iufc":
+        raise ValueError(
+            f"{name} must be a non-empty square matrix of numbers, got {mat.dtype} {mat.shape}"
+        )
     return mat
 
 

@@ -131,9 +131,7 @@ def walk_scan(
     sector-averaged total.
     """
     steps = _sample_count(steps, MAX_TIME_SAMPLES, "time samples")
-    tau_max = _real(tau_max, "tau_max")
-    if not math.isfinite(tau_max):
-        raise ValueError("tau_max must be finite")
+    tau_max = _real(tau_max, "tau_max", finite=True)
     init = _occupations(init, stats=stats)
     basis = enumerate_basis(sum(init), len(init), stats)
     dec = _decomposition(basis, partition)

@@ -52,9 +52,9 @@ def phi_state(alpha: float, beta: float) -> ManyBodyState:
     Interpolates between the two alternating-occupation kets and the
     pair of half-filled blocks; alpha = 0 with beta = pi/4 gives a GHZ
     state with one particle per adjacent two-mode party.  Each phase must
-    be a real number (``fock._real``).
+    be a finite real number (``fock._real``).
     """
-    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
+    alpha, beta = _real(alpha, "alpha", finite=True), _real(beta, "beta", finite=True)
     basis = phi_basis()
     amp = np.zeros(len(basis), dtype=complex)
     amp[[basis.index(ket) for ket in PHI_KETS]] = phi_weights(alpha, beta)

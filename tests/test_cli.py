@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,19 @@ class TestScanInternals:
         # said "amplitudes must be finite"
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got"):
             phi_state(alpha, beta)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, name",
+        [(math.inf, 0.0, "alpha"), (math.nan, 0.0, "alpha"), (0.1, math.inf, "beta"),
+         (0.1, math.nan, "beta")],
+    )
+    def test_phi_state_rejects_non_finite_phases_up_front(self, alpha, beta, name):
+        # inf for alpha used to raise "math domain error", and for beta to
+        # warn twice before "amplitudes must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                phi_state(alpha, beta)
 
     @pytest.mark.parametrize(
         "scan",

@@ -51,7 +51,6 @@ from triqw.entanglement import (
     _geometric_kernel,
     _party_layout,
     _tensor_norm_constants,
-    _transpose_index,
     mode_qubit_tensor,
     tensor_norm_squared,
 )
@@ -674,7 +673,7 @@ class TestEpsTKernel:
     def test_plan_arrays_are_read_only(self, stats):
         dec = _decomposition(enumerate_basis(4, 6, stats), ALTERNATING_PARTITION)
         arrays = [dec._probability_order] + [cols for cols, _, _ in dec._probability_groups]
-        arrays += [a for live in dec._live for a in (live.flat, live.sign, live.rows, live.cols)]
+        arrays += [a for _, sector in dec._live for a in (sector.index, sector.sign)]
         assert arrays
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -684,38 +683,8 @@ class TestEpsTKernel:
         assert sorted(dec._probability_order.tolist()) == list(range(len(dec.basis)))
         sectors = list(dec.sectors.values())
         live = [k for k, sec in enumerate(sectors) if min(sec.dims) > 1]
-        assert [entry.col for entry in dec._live] == live
-        assert all(entry.sector is sectors[entry.col] for entry in dec._live)
-
-    # four fermions on two-mode parties leave no live sector
-    @pytest.mark.parametrize(("stats", "n_particles"), [(BOS, 3), (BOS, 4), (FER, 3)])
-    @pytest.mark.parametrize(
-        "partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION, Partition((6, 2), (1, 3), (5, 4))]
-    )
-    def test_cut_tables_compose_the_transpose_index_with_the_sector(
-        self, stats, n_particles, partition
-    ):
-        basis = enumerate_basis(n_particles, 6, stats)
-        n = len(basis)
-        dec = _decomposition(basis, partition)
-        assert dec._live
-        for live in dec._live:
-            sector = live.sector
-            size = len(sector.index)
-            shape = (3, size, size)
-            assert live.flat.shape == live.sign.shape == live.rows.shape == live.cols.shape == shape
-            assert live.flat.min() >= 0 and live.flat.max() < n * n
-            assert live.rows.min() >= 0 and live.rows.max() < size
-            assert live.cols.min() >= 0 and live.cols.max() < size
-            assert set(np.unique(live.sign.real)) <= {-1.0, 1.0} and not live.sign.imag.any()
-            cut = _transpose_index(sector.dims)
-            flat = (sector.index[:, None] * n + sector.index).reshape(-1)
-            signs = np.outer(sector.sign, sector.sign).reshape(-1)
-            for p in range(3):
-                assert np.array_equal(live.flat[p].reshape(-1), flat[cut[p]])
-                assert np.array_equal(live.sign[p].reshape(-1), signs[cut[p]])
-                pairs = live.rows[p] * size + live.cols[p]
-                assert np.array_equal(pairs.reshape(-1), cut[p])
+        assert [k for k, _ in dec._live] == live
+        assert all(sector is sectors[k] for k, sector in dec._live)
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_project_state_and_density_match_kernel(self, stats):
