@@ -14,12 +14,18 @@ Two quantities are computed for a three-party split of the modes:
   ordered sector by sector and grouped by sector length, for one gather
   of their weights and one sum per length, and the sectors whose parties
   all have more than one local state.  There is one block path and one
-  negativity path: ``_sector_blocks`` builds the normalised blocks of a
-  sector, and ``_negativity`` cuts them through the cached permutation
-  of their dims (``_transpose_index``) and takes the eigenvalues of all
-  one-party cuts in one call.  The kernel, ``project_sector`` and the
-  public negativities all go through them, so they agree bit for bit.
-  A per-state call checks its input once and then does only the
+  negativity path for density input and for blocks with a local
+  dimension above two: ``_sector_blocks`` builds the normalised blocks
+  of a sector, and ``_negativity`` cuts them through the cached
+  permutation of their dims (``_transpose_index``) and takes the
+  eigenvalues of all one-party cuts in one call.  ``project_sector`` and
+  the public negativities go through them too, so there they agree bit
+  for bit with the kernel.  A pure state's block in a sector of three
+  qubits, the only live sector of three particles on two-mode parties,
+  takes the closed form ``_qubit_negativity`` (2 sqrt(det rho_X) per
+  cut, from the 2 x 2 minors of its ``_local_amplitudes``) instead, with
+  no eigensolve; it agrees with the eigen path to roundoff.  A
+  per-state call checks its input once and then does only the
   arithmetic that depends on it.
 * ``geometric_measure`` (``eps_G``) -- the mode-entanglement tensor norm
   built from triple products of su(d) generators on the occupation-qubit
@@ -132,15 +138,18 @@ class Sector:
     Entry ``f`` of the local product basis (party A x party B x party C,
     each party's occupation patterns in ascending lexicographic order)
     is the global basis state ``index[f]`` times ``sign[f]``, the +-1
-    fermionic reordering sign (all +1 for bosons).  ``dims`` counts each
-    party's patterns, so ``len(index) == prod(dims)``.  Both arrays are
-    read-only, because decompositions are shared between callers.
+    fermionic reordering sign (all +1 for bosons).  ``signs`` is the
+    (D, D) product ``outer(sign, sign)`` that signs a density block.
+    ``dims`` counts each party's patterns, so ``len(index) == prod(dims)``.
+    All three arrays are read-only, because decompositions are shared
+    between callers.
     """
 
     counts: tuple[int, int, int]
     dims: tuple[int, int, int]
     index: np.ndarray
     sign: np.ndarray
+    signs: np.ndarray
 
 
 @dataclass
@@ -178,7 +187,9 @@ class SectorDecomposition:
         for counts in sorted(grouped):
             local, index, sign = zip(*sorted(grouped[counts]))
             dims = tuple(len(set(patterns)) for patterns in zip(*local))
-            self.sectors[counts] = Sector(counts, dims, _read_only(index), _read_only(sign))
+            self.sectors[counts] = Sector(
+                counts, dims, _read_only(index), _read_only(sign), _read_only(np.outer(sign, sign))
+            )
         # The kernel plan of _eps_t_kernel, fixed by the basis and the
         # partition.  The probability order lists the basis states of every
         # sector, grouped by sector length d, for one gather of all their
@@ -248,16 +259,24 @@ def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray
     probabilities ``prob`` (P,) must be non-zero.
 
     The block of a density matrix is its gathered entries times the product
-    of the two +-1 signs, divided by the probability; a pure state's local
-    amplitudes times their signs are divided by the root of the probability,
-    and the block is their outer product.  The one block path of
-    ``_eps_t_kernel`` and ``project_sector``.
+    of the two +-1 signs, divided by the probability; a pure state's block
+    is the outer product of its ``_local_amplitudes``.  The one block path
+    of ``project_sector``, and of ``_eps_t_kernel`` for every sector but
+    the pure three-qubit ones.
     """
     if states.ndim == 3:
         parts = states[rows[:, None, None], sector.index[:, None], sector.index]
-        return parts * np.outer(sector.sign, sector.sign) / prob[:, None, None]
-    normed = states[rows[:, None], sector.index] * sector.sign / np.sqrt(prob)[:, None]
+        return parts * sector.signs / prob[:, None, None]
+    normed = _local_amplitudes(sector, states, rows, prob)
     return normed[:, :, None] * normed[:, None, :].conj()
+
+
+def _local_amplitudes(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray:
+    """Normalised local amplitudes (P, D) in ``sector`` of the states ``rows``
+    (P,) of a (B, n) amplitude stack: the gathered amplitudes times their
+    +-1 signs, divided by the root of the non-zero sector probabilities
+    ``prob`` (P,)."""
+    return states[rows[:, None], sector.index] * sector.sign / np.sqrt(prob)[:, None]
 
 
 def _decomposed(state, partition: Partition, basis: FockBasis | None):
@@ -365,6 +384,34 @@ def _negativity(stack: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
 
+# Gather index (3, 2, 4) of the rows R of each qubit's cut: entry (p, i, j)
+# is the position, among the 8 amplitudes of three qubits, of qubit p in
+# state i and the other two in joint state j.  Read-only, like the other
+# shared tables.
+_QUBIT_ROWS = _read_only(
+    [np.moveaxis(np.arange(8).reshape(2, 2, 2), p, 0).reshape(2, 4) for p in range(3)]
+)
+_COLUMN_PAIRS = tuple(_read_only(i) for i in np.triu_indices(4, 1))
+
+
+def _qubit_negativity(normed: np.ndarray) -> np.ndarray:
+    """Negativities (P, 3) of the pure three-qubit states with normalised
+    amplitudes ``normed`` (P, 8), cut between each qubit and the rest.
+
+    With Schmidt coefficients s0, s1 of a cut, the partial transpose has
+    eigenvalues s0^2, s1^2 and +-s0 s1, so the negativity is 2 s0 s1 =
+    2 sqrt(det rho_X) (Vidal & Werner, PRA 65, 032314, 2002).  By
+    Cauchy-Binet, det rho_X = det(R R^dagger) is the sum of the squared
+    moduli of the six 2 x 2 minors of the (2, 4) rows R.  No Gram matrix,
+    no subtraction of one and no eigensolve, so a product cut gives
+    exactly 0 whenever its minors cancel exactly.
+    """
+    rows = normed[:, _QUBIT_ROWS]
+    j, k = _COLUMN_PAIRS
+    minors = rows[..., 0, j] * rows[..., 1, k] - rows[..., 0, k] * rows[..., 1, j]
+    return 2.0 * np.sqrt(np.sum(np.abs(minors) ** 2, axis=-1))
+
+
 def bipartite_negativity(rho: DensityMatrix, party: int) -> float:
     """Sum of absolute partial-transpose eigenvalues minus one, floored at 0.
 
@@ -410,13 +457,18 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     one sum over the last axis per sector length, fill every column of
     ``probs``; a sector with a one-dimensional party needs nothing more.
     For each live sector (every local dimension > 1; for three particles
-    at most (1, 1, 1)), up to _EIGENSOLVE_CHUNK of its states above the
-    floor at a time, ``_sector_blocks`` builds their normalised blocks
-    and ``_negativity`` takes the three cuts in one stacked eigensolve.
-    Those are the functions behind ``project_sector``,
-    ``bipartite_negativity`` and ``tripartite_negativity``, so on a batch
-    of one the kernel gives bit for bit what they give on the same
-    sector; numpy may order the sums of a longer batch differently.
+    at most (1, 1, 1)) the path depends on the input.  An amplitude stack
+    in a sector of dims (2, 2, 2) sends all its states above the floor
+    through ``_qubit_negativity``, the closed form of a pure three-qubit
+    state, whose working set is (P, 8).  Otherwise, up to
+    _EIGENSOLVE_CHUNK of its states at a time, ``_sector_blocks`` builds
+    their normalised blocks and ``_negativity`` takes the three cuts in
+    one stacked eigensolve.  Those are the functions behind
+    ``project_sector``, ``bipartite_negativity`` and
+    ``tripartite_negativity``, so on that path a batch of one gives bit
+    for bit what they give on the same sector; the closed form agrees
+    with them to roundoff.  numpy may order the sums of a longer batch
+    differently.
     """
     weights = _sector_weights(states, dec._probability_order)
     probs = np.empty((len(states), len(dec.sectors)))
@@ -426,9 +478,17 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     negs = np.zeros(probs.shape + (4,))
     for k, sector in dec._live:
         rows = probs[:, k].nonzero()[0]
-        for lo in range(0, len(rows), _EIGENSOLVE_CHUNK):
-            b = rows[lo : lo + _EIGENSOLVE_CHUNK]
-            cut = _negativity(_sector_blocks(sector, states, b, probs[b, k]), sector.dims)
+        if states.ndim == 2 and sector.dims == (2, 2, 2):
+            amps = _local_amplitudes(sector, states, rows, probs[rows, k])
+            cuts = [(rows, _qubit_negativity(amps))]
+        else:
+            starts = range(0, len(rows), _EIGENSOLVE_CHUNK)
+            chunks = (rows[lo : lo + _EIGENSOLVE_CHUNK] for lo in starts)
+            cuts = (
+                (b, _negativity(_sector_blocks(sector, states, b, probs[b, k]), sector.dims))
+                for b in chunks
+            )
+        for b, cut in cuts:
             negs[b, k, :3] = cut
             negs[b, k, 3] = np.cbrt(cut.prod(axis=-1))
     return probs, negs, (probs * negs[..., 3]).sum(axis=1)

@@ -373,7 +373,7 @@ def build_monomial_state(basis: FockBasis, coeffs, init) -> ManyBodyState:
     init = _occupations(init, basis.n_modes, basis.stats)
     if sum(init) != basis.n_particles:
         raise ValueError("initial occupation does not match the basis")
-    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+    coeffs = np.ascontiguousarray(_complex_array(coeffs, "coefficient matrix"))
     if coeffs.shape != (basis.n_modes, basis.n_modes):
         raise ValueError("coefficient matrix must be L x L")
     return ManyBodyState(basis, _monomial_amplitudes(basis, init, coeffs))

@@ -3,8 +3,13 @@
 Runs each tree's own ``perfbench/run.py --trace 0`` for one workload, in
 ``--pairs`` pairs.  The side that runs first alternates: the base tree
 first in even pairs, the head tree first in odd ones.  Each run reads its
-end-to-end metrics from the last stdout line of ``run.py``.  For every
-metric of the head tree's ``BENCHMARK.json`` it reports:
+end-to-end metrics from the last stdout line of ``run.py``.  With
+``--tier1`` instead of ``--workload``, each run is the tier-1 command in
+that tree, with one BLAS thread as in the benchmark's children, and its
+one metric ``wall_s`` is the command's wall time; the counts of passed
+and failed tests of every run are recorded, because the known failures
+make the command exit non-zero.  For every metric of the head tree's
+``BENCHMARK.json`` (for ``--tier1``, for ``wall_s``) it reports:
 
 * each side's median and quartiles, and the head's median relative to
   the base's;
@@ -12,23 +17,26 @@ metric of the head tree's ``BENCHMARK.json`` it reports:
   neither) and the two-sided exact sign-test p-value over them;
 * whether a gain holds by the benchmark's rule: better in at least nine
   tenths of the pairs, and the medians further apart than the base's
-  interquartile range;
-* whether the head is within the metric's bound of the base.
+  interquartile range; and whether a loss holds by the same rule turned
+  round;
+* whether the head is within the metric's bound of the base (the tier-1
+  time has no bound, so there it is null).
 
-A run that exits non-zero (``run.py`` exits 1 on a failed operation)
+A ``run.py`` that exits non-zero (it exits 1 on a failed operation)
 stops the harness; the attempted and failed operations of both sides
 are recorded.  The summary goes
 to stdout and into ``BENCH_<label>.json`` at the root of the checkout
-holding this script, under ``<workload>-seed<seed>``; entries for other
-workloads and seeds already in the file are kept, so one label can
-collect several runs.  The file also records the machine: nproc, Python,
-numpy, BLAS and BLAS threads, from the provenance that ``run.py`` prints.
+holding this script, under ``<workload>-seed<seed>`` or ``tier1``;
+entries for other workloads and seeds already in the file are kept, so
+one label can collect several runs.  The file also records the machine:
+nproc, Python, numpy, BLAS and BLAS threads, from the provenance that
+``run.py`` prints, or for ``--tier1`` from this interpreter.
 
 Not collected by pytest (the name does not match ``test_*.py``) and not
 part of tier-1.  A pair takes about twice ``--seconds`` plus start-up.
 
-Usage: python tests/ab.py --base DIR --head DIR --workload W --pairs N
-           --label L [--seed S] [--seconds S]
+Usage: python tests/ab.py --base DIR --head DIR (--workload W | --tier1)
+           --pairs N --label L [--seed S] [--seconds S]
 
 For example, unpack the parent commit with ``git archive`` into DIR and
 compare it with this tree.  A tree compared with a copy of itself should
@@ -38,16 +46,23 @@ show no gain.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import os
+import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "head")
 WIN_SHARE = 0.9  # share of pairs the better side must win for a gain
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -63,6 +78,42 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         if line.startswith("provenance "):
             result["provenance"] = json.loads(line[len("provenance "):])
     return result
+
+
+def run_tier1(tree: Path) -> dict:
+    """One tier-1 command in ``tree``: its wall time as ``wall_s`` and the
+    counts of pytest's summary line."""
+    env = dict(os.environ, **dict.fromkeys(BLAS_ENV, "1"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True, timeout=1800)
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (\w+)", summary)}
+    return {"metrics": {"wall_s": {"value": wall}}, "tests": counts}
+
+
+def tier1_machine(trees: dict[str, Path]) -> tuple[dict, dict]:
+    """(machine block, trees block) of a ``--tier1`` run: this interpreter's
+    versions, and the sha256 of each tree's ``src`` as ``run.py`` takes it."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    machine = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+               "numpy": numpy.__version__, "blas": blas, "blas_threads": 1}
+    shas = {}
+    for side, tree in trees.items():
+        digest = hashlib.sha256()
+        for path in sorted((tree / "src").rglob("*.py")):
+            digest.update(path.relative_to(tree / "src").as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+        shas[side] = {"src_sha256": digest.hexdigest()}
+    return machine, shas
 
 
 def _pick(result: dict, keys) -> dict:
@@ -83,7 +134,7 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
-def summarise(runs: dict[str, list[float]], better: str, bound: float) -> dict:
+def summarise(runs: dict[str, list[float]], better: str, bound: float | None) -> dict:
     """Medians, quartiles, pair counts and verdicts of one metric."""
     sign = 1.0 if better == "lower" else -1.0
     pairs = list(zip(runs["base"], runs["head"]))
@@ -100,7 +151,8 @@ def summarise(runs: dict[str, list[float]], better: str, bound: float) -> dict:
         "sign_test_p": sign_test(wins, losses),
         "base_iqr": base_iqr,
         "gain": wins >= WIN_SHARE * len(pairs) and sign * (base - head) > base_iqr,
-        "within_bound": sign * (head / base - 1.0) <= bound,
+        "loss": losses >= WIN_SHARE * len(pairs) and sign * (head - base) > base_iqr,
+        "within_bound": None if bound is None else sign * (head / base - 1.0) <= bound,
         "runs": runs,
     }
 
@@ -109,7 +161,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="tree of the parent")
     parser.add_argument("--head", type=Path, required=True, help="tree of the change")
-    parser.add_argument("--workload", required=True)
+    kind = parser.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--workload")
+    kind.add_argument("--tier1", action="store_true", help="time the tier-1 command instead")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--seed", type=int, default=7)
@@ -117,6 +171,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.tier1:
+        spec = [dict(metric, bound=None) for metric in spec if metric["name"] == "wall_s"]
 
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     first = []
@@ -124,26 +180,42 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            results[side].append(run(trees[side], args.workload, args.seed, args.seconds))
+            if args.tier1:
+                results[side].append(run_tier1(trees[side]))
+            else:
+                results[side].append(run(trees[side], args.workload, args.seed, args.seconds))
         values = {side: results[side][-1]["metrics"]["wall_s"]["value"] for side in SIDES}
         print(f"pair {i + 1}/{args.pairs}: wall_s base {values['base']:.4f} "
               f"head {values['head']:.4f}", flush=True)
 
-    entry = {
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
-        "first_in_pair": first,
-        "trees": {side: _pick(results[side][0], ("git_commit", "src_sha256")) for side in SIDES},
-        "operations": {
-            side: {
-                "failed": sum(r["failed"] for r in results[side]),
-                "attempted": sum(r["attempted"] for r in results[side]),
-            }
-            for side in SIDES
-        },
-    }
+    if args.tier1:
+        key = "tier1"
+        machine, shas = tier1_machine(trees)
+        entry = {
+            "command": " ".join(["PYTHONPATH=src python", *TIER1]),
+            "pairs": args.pairs,
+            "first_in_pair": first,
+            "trees": shas,
+            "tests": {side: [r["tests"] for r in results[side]] for side in SIDES},
+        }
+    else:
+        key = f"{args.workload}-seed{args.seed}"
+        machine = _pick(results["head"][0], ("nproc", "python", "numpy", "blas", "blas_threads"))
+        entry = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "pairs": args.pairs,
+            "first_in_pair": first,
+            "trees": {side: _pick(results[side][0], ("git_commit", "src_sha256")) for side in SIDES},
+            "operations": {
+                side: {
+                    "failed": sum(r["failed"] for r in results[side]),
+                    "attempted": sum(r["attempted"] for r in results[side]),
+                }
+                for side in SIDES
+            },
+        }
     for metric in spec:
         name = metric["name"]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
@@ -155,15 +227,21 @@ def main(argv=None) -> int:
               f"head {head['median']:.4g} [{head['q1']:.4g}-{head['q3']:.4g}] "
               f"({e['head_vs_base']:+.1%}); head better in {e['head_better_in_pairs']}, "
               f"worse in {e['head_worse_in_pairs']} of {args.pairs}; sign test p = "
-              f"{e['sign_test_p']:.3g}; gain {e['gain']}; within bound {e['within_bound']}")
-    failed = entry["operations"]["base"]["failed"] + entry["operations"]["head"]["failed"]
-    print(f"failed operations: {failed}")
+              f"{e['sign_test_p']:.3g}; gain {e['gain']}; loss {e['loss']}; "
+              f"within bound {e['within_bound']}")
+    if args.tier1:
+        failed = 0
+        for side in SIDES:
+            outcomes = sorted({json.dumps(counts, sort_keys=True) for counts in entry["tests"][side]})
+            print(f"{side} tier-1 outcomes: {', '.join(outcomes)}")
+    else:
+        failed = entry["operations"]["base"]["failed"] + entry["operations"]["head"]["failed"]
+        print(f"failed operations: {failed}")
 
     path = ROOT / f"BENCH_{args.label}.json"
     record = json.loads(path.read_text()) if path.exists() else {"label": args.label}
-    machine = ("nproc", "python", "numpy", "blas", "blas_threads")
-    record["machine"] = _pick(results["head"][0], machine)
-    record.setdefault("runs", {})[f"{args.workload}-seed{args.seed}"] = entry
+    record["machine"] = machine
+    record.setdefault("runs", {})[key] = entry
     path.write_text(json.dumps(record, indent=1) + "\n")
     return 1 if failed else 0
 

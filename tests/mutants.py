@@ -70,7 +70,7 @@ MUTANTS = [
     (
         "density-block-signs-dropped",
         "entanglement.py",
-        "return parts * np.outer(sector.sign, sector.sign) / prob[:, None, None]",
+        "return parts * sector.signs / prob[:, None, None]",
         "return parts / prob[:, None, None]",
     ),
     (
@@ -78,6 +78,12 @@ MUTANTS = [
         "entanglement.py",
         "states[rows[:, None], sector.index] * sector.sign / np.sqrt(prob)",
         "states[rows[:, None], sector.index] / np.sqrt(prob)",
+    ),
+    (
+        "qubit-negativity-root-dropped",
+        "entanglement.py",
+        "2.0 * np.sqrt(np.sum(np.abs(minors) ** 2, axis=-1))",
+        "2.0 * np.sum(np.abs(minors) ** 2, axis=-1)",
     ),
     (
         "tpn-arithmetic-mean",

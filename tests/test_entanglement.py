@@ -49,6 +49,7 @@ from triqw.entanglement import (
     _decomposition,
     _eps_t_kernel,
     _geometric_kernel,
+    _negativity,
     _party_layout,
     _tensor_norm_constants,
     mode_qubit_tensor,
@@ -617,6 +618,8 @@ class TestEpsTKernel:
         # batch differently, so bits agree only between equal batch sizes.
         # Four bosons have three live sectors with dims (3, 2, 2) and its
         # permutations, so the kernel is not tied to the (1, 1, 1) sector.
+        # Pure (2, 2, 2) blocks take the closed form, not the eigensolve,
+        # so there the kernel agrees with the per-sector path to roundoff.
         partition = Partition(modes[:2], modes[2:4], modes[4:])
         basis = enumerate_basis(n_particles, 6, stats)
         dec = _decomposition(basis, partition)
@@ -643,11 +646,12 @@ class TestEpsTKernel:
                 if min(sector.dims) == 1:
                     assert not negs[0, k].any()
                     continue
-                for party in range(3):
-                    expected = bipartite_negativity(sec.rho, party)
-                    assert negs[0, k, party].tobytes() == np.float64(expected).tobytes()
-                expected = tripartite_negativity(sec.rho)
-                assert negs[0, k, 3].tobytes() == np.float64(expected).tobytes()
+                expected = [bipartite_negativity(sec.rho, party) for party in range(3)]
+                expected.append(tripartite_negativity(sec.rho))
+                if item.ndim == 1 and sector.dims == (2, 2, 2):
+                    assert np.abs(negs[0, k] - expected).max() <= 1e-12
+                    continue
+                assert negs[0, k].tobytes() == np.array(expected).tobytes()
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -709,7 +713,8 @@ class TestEpsTKernel:
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_eigensolve_chunks_match_single_states(self, monkeypatch, rank):
-        # five live states in chunks of 2, 2 and 1
+        # five live states: density blocks in chunks of 2, 2 and 1, pure
+        # (2, 2, 2) blocks in one closed-form call
         monkeypatch.setattr(entanglement, "_EIGENSOLVE_CHUNK", 2)
         basis = enumerate_basis(3, 6, BOS)
         dec = _decomposition(basis, ALTERNATING_PARTITION)
@@ -720,6 +725,22 @@ class TestEpsTKernel:
             single = _eps_t_kernel(dec, states[b : b + 1])
             for batched, alone in zip((probs, negs, eps_t), single):
                 assert np.abs(batched[b] - alone[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n_particles, rank, calls", [(3, 1, 0), (3, 2, 2), (4, 1, 3 * 2), (4, 2, 3 * 2)]
+    )
+    def test_eigensolves_per_live_sector(self, monkeypatch, n_particles, rank, calls):
+        # 40 states, chunks of 32 and 8: pure (2, 2, 2) blocks make no
+        # eigensolve, density blocks and four bosons' (3, 2, 2) blocks one
+        # per chunk of each live sector (one for three particles, three
+        # for four)
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))
+        basis = enumerate_basis(n_particles, 6, BOS)
+        dec = _decomposition(basis, ALTERNATING_PARTITION)
+        _eps_t_kernel(dec, random_stack(basis, 5, 40, rank))
+        assert len(seen) == calls
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
@@ -736,6 +757,72 @@ class TestEpsTKernel:
             row = (scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn)
             assert np.abs(np.array([col[k] for col in row]) - expected).max() <= 1e-12
             assert scan.eps_t[k] == pytest.approx(report.eps_t, abs=1e-12)
+
+
+def qubit_sector_stack(stats, partition, blocks):
+    """(P, n) amplitude stack whose (1, 1, 1) sector holds the (P, 8) local
+    ``blocks`` (in the sector's signed local basis) and nothing else, with
+    the decomposition and that sector's column."""
+    basis = enumerate_basis(3, 6, stats)
+    dec = _decomposition(basis, partition)
+    sector = dec.sectors[(1, 1, 1)]
+    assert sector.dims == (2, 2, 2)
+    blocks = np.asarray(blocks, dtype=complex)
+    states = np.zeros((len(blocks), len(basis)), dtype=complex)
+    states[:, sector.index] = blocks / np.linalg.norm(blocks, axis=1, keepdims=True) * sector.sign
+    return dec, states, list(dec.sectors).index((1, 1, 1))
+
+
+class TestQubitClosedForm:
+    """Pure (2, 2, 2) blocks: the kernel's closed form 2 sqrt(det rho_X)
+    against the eigen path and the Jacobi oracle."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        stats=st.sampled_from([BOS, FER]),
+        modes=st.permutations(range(1, 7)),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 3),
+    )
+    def test_matches_eigen_path_and_jacobi_oracle(self, stats, modes, seed, batch):
+        rng = np.random.default_rng(seed)
+        blocks = rng.normal(size=(batch, 8)) + 1j * rng.normal(size=(batch, 8))
+        partition = Partition(modes[:2], modes[2:4], modes[4:])
+        dec, states, k = qubit_sector_stack(stats, partition, blocks)
+        probs, negs, eps_t = _eps_t_kernel(dec, states)
+        assert probs[:, k] == pytest.approx(1.0, abs=1e-14)
+        normed = blocks / np.linalg.norm(blocks, axis=1, keepdims=True)
+        rho = normed[:, :, None] * normed[:, None, :].conj()
+        for cuts in (_negativity(rho, (2, 2, 2)), negativity_by_jacobi(rho, (2, 2, 2), range(3))):
+            assert np.abs(negs[:, k, :3] - cuts).max() <= 1e-12
+            assert np.abs(negs[:, k, 3] - np.cbrt(cuts.prod(axis=-1))).max() <= 1e-12
+        assert np.abs(eps_t - probs[:, k] * negs[:, k, 3]).max() <= 1e-15
+
+    @pytest.mark.parametrize("stats", [BOS, FER])
+    @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
+    @pytest.mark.parametrize(
+        "block, cuts",
+        [
+            # (|0> + |1>)^3 / sqrt 8: every minor cancels exactly
+            ([1] * 8, [0.0, 0.0, 0.0]),
+            # a Bell pair of A and B times |0> on C: C's minors are all zero
+            ([1, 0, 0, 0, 0, 0, 1, 0], [1.0, 1.0, 0.0]),
+            ([1, 0, 0, 0, 0, 0, 0, 1], [1.0, 1.0, 1.0]),  # GHZ
+            ([0, 1, 1, 0, 1, 0, 0, 0], [2 * math.sqrt(2) / 3] * 3),  # W
+        ],
+        ids=["product", "biseparable", "ghz", "w"],
+    )
+    def test_known_blocks(self, stats, partition, block, cuts):
+        dec, states, k = qubit_sector_stack(stats, partition, [block])
+        _, negs, eps_t = _eps_t_kernel(dec, states)
+        exact = [i for i, cut in enumerate(cuts) if cut == 0.0]
+        assert negs[0, k, exact].tolist() == [0.0] * len(exact)
+        assert negs[0, k, :3] == pytest.approx(cuts, abs=1e-15)
+        tpn = np.cbrt(np.prod(cuts))
+        assert negs[0, k, 3] == pytest.approx(tpn, abs=1e-15)
+        assert eps_t[0] == pytest.approx(tpn, abs=1e-15)
+        if exact:
+            assert negs[0, k, 3] == 0.0 and eps_t[0] == 0.0
 
 
 class TestDecompositionCache:
@@ -775,12 +862,18 @@ class TestDecompositionCache:
         assert (info.misses, info.hits) == (1, 3)
 
     def test_shared_sectors_are_read_only(self):
-        dec = _decomposition(enumerate_basis(3, 6, BOS), ADJACENT_PARTITION)
-        for sector in dec.sectors.values():
-            with pytest.raises(ValueError, match="read-only"):
-                sector.index[0] = 0
-            with pytest.raises(ValueError, match="read-only"):
-                sector.sign[0] = -1.0
+        for stats in (BOS, FER):
+            dec = _decomposition(enumerate_basis(3, 6, stats), ALTERNATING_PARTITION)
+            for sector in dec.sectors.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    sector.index[0] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    sector.sign[0] = -1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    sector.signs[0, 0] = -1.0
+                assert np.array_equal(sector.signs, np.outer(sector.sign, sector.sign))
+            negative = any((sector.signs < 0).any() for sector in dec.sectors.values())
+            assert negative == stats.exclusive
 
 
 def marginal_purity_tensor_norm(psi: np.ndarray, dim: int) -> float:

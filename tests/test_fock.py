@@ -242,6 +242,12 @@ class TestMonomialState:
         with pytest.raises(ValueError, match="non-negative integers"):
             build_monomial_state(basis, np.eye(6), init)
 
+    @pytest.mark.parametrize("coeffs", [object(), [[object(), 0], [0, 0]]])
+    def test_rejects_non_numeric_coefficients(self, coeffs):
+        basis = enumerate_basis(1, 2, BOS)
+        with pytest.raises(ValueError, match="coefficient matrix must hold numbers"):
+            build_monomial_state(basis, coeffs, (1, 0))
+
 
 @st.composite
 def monomial_cases(draw):
