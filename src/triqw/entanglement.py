@@ -10,11 +10,12 @@ Two quantities are computed for a three-party split of the modes:
   zero.  One batched kernel (``_eps_t_kernel``) serves the per-state
   function and the scans.  The sector decomposition depends only on the
   basis and the partition, so every caller shares one cached instance
-  per pair (``_decomposition``), with its kernel plan: the basis states
-  ordered sector by sector and grouped by sector length, for one gather
-  of their weights and one sum per length, and the sectors whose parties
-  all have more than one local state.  There is one block path and one
-  negativity path for density input and for blocks with a local
+  per pair (``_decomposition``), with its kernel plan: the sectors'
+  basis positions stacked by sector length, and the sectors whose
+  parties all have more than one local state.  There is one probability
+  expression, ``_sector_probs``: the kernel calls it once per sector
+  length, ``project_sector`` once per sector.  There is one block path
+  and one negativity path for density input and for blocks with a local
   dimension above two: ``_sector_blocks`` builds the normalised blocks
   of a sector, and ``_negativity`` cuts them through the cached
   permutation of their dims (``_transpose_index``) and takes the
@@ -191,27 +192,20 @@ class SectorDecomposition:
                 counts, dims, _read_only(index), _read_only(sign), _read_only(np.outer(sign, sign))
             )
         # The kernel plan of _eps_t_kernel, fixed by the basis and the
-        # partition.  The probability order lists the basis states of every
-        # sector, grouped by sector length d, for one gather of all their
-        # weights; each probability group holds the (m,) positions of the m
-        # sectors of one length, their stretch of that order and its (m, d)
-        # shape, for one sum over the last axis.  The live sectors are the
-        # (column, Sector) pairs of the sectors whose local dimensions all
-        # exceed one, the only ones with non-zero negativities.
-        sectors = list(self.sectors.values())
-        by_length: dict[int, list[int]] = {}
-        for k, sector in enumerate(sectors):
-            by_length.setdefault(len(sector.index), []).append(k)
-        self._probability_order = _read_only(
-            [i for cols in by_length.values() for k in cols for i in sectors[k].index], np.intp
+        # partition.  Each probability group holds the (m,) columns of the m
+        # sectors of one length d and the (m, d) stack of their basis
+        # positions, for one _sector_probs call per length.  The live
+        # sectors are the (column, Sector) pairs of the sectors whose local
+        # dimensions all exceed one, the only ones with non-zero
+        # negativities.
+        by_length: dict[int, list] = {}
+        for k, sector in enumerate(self.sectors.values()):
+            by_length.setdefault(len(sector.index), []).append((k, sector.index))
+        self._probability_groups = tuple(
+            tuple(_read_only(part, np.intp) for part in zip(*group)) for group in by_length.values()
         )
-        groups, start = [], 0
-        for d, cols in by_length.items():
-            stretch = slice(start, start + len(cols) * d)
-            groups.append((_read_only(cols, np.intp), stretch, (len(cols), d)))
-            start = stretch.stop
-        self._probability_groups = tuple(groups)
-        self._live = tuple((k, sec) for k, sec in enumerate(sectors) if min(sec.dims) > 1)
+        columns = enumerate(self.sectors.values())
+        self._live = tuple((k, sec) for k, sec in columns if min(sec.dims) > 1)
 
     def project_state(self, state: ManyBodyState) -> list[SectorState]:
         if state.basis != self.basis:
@@ -235,22 +229,26 @@ def _decomposition(basis: FockBasis, partition: Partition) -> SectorDecompositio
 
 def _sector_state(sector: Sector, stack: np.ndarray) -> SectorState:
     """Probability and normalized block of a batch-of-one stack in one sector."""
-    prob = _sector_weights(stack, sector.index).sum(axis=-1).real
+    prob = _sector_probs(stack, sector.index)
     rho = None
     if prob[0] > PROBABILITY_FLOOR:
         rho = DensityMatrix(sector.dims, _sector_blocks(sector, stack, np.arange(1), prob)[0])
     return SectorState(sector.counts, sector.dims, float(prob[0]), rho)
 
 
-def _sector_weights(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Weights (B, k) of the basis states at ``positions`` (k,) in a stack of
-    (B, n) amplitude vectors or (B, n, n) density matrices: ``|amp|^2``, or
-    the diagonal entry, kept complex.  A sector probability is the sum of
-    its states' weights, whose real part is taken after the sum.  A sign of
-    +-1 changes no modulus and no diagonal entry, so it is left out."""
+def _sector_probs(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Probabilities in a stack of (B, n) amplitude vectors or (B, n, n)
+    density matrices of the sectors whose basis positions are the last axis
+    of ``positions``: (B,) for the (d,) positions of one sector, (B, m) for
+    the (m, d) stack of m sectors of one length.  Each is its states'
+    ``|amp|^2``, or diagonal entries, summed over that axis, then the real
+    part.  A sign of +-1 changes no modulus and no diagonal entry, so it is
+    left out."""
     if states.ndim == 3:
-        return states[:, positions, positions]
-    return np.abs(states[:, positions]) ** 2
+        weights = states[:, positions, positions]
+    else:
+        weights = np.abs(states[:, positions]) ** 2
+    return weights.sum(axis=-1).real
 
 
 def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray:
@@ -453,9 +451,10 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
 
     Everything fixed by the basis and the partition comes from the
     decomposition's kernel plan, so a call does only the arithmetic that
-    depends on ``states``.  One gather of the basis states' weights, and
-    one sum over the last axis per sector length, fill every column of
-    ``probs``; a sector with a one-dimensional party needs nothing more.
+    depends on ``states``.  One ``_sector_probs`` call per sector length,
+    on the (m, d) stack of those sectors' basis positions, fills their m
+    columns of ``probs``; a sector with a one-dimensional party needs
+    nothing more.
     For each live sector (every local dimension > 1; for three particles
     at most (1, 1, 1)) the path depends on the input.  An amplitude stack
     in a sector of dims (2, 2, 2) sends all its states above the floor
@@ -470,10 +469,9 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     with them to roundoff.  numpy may order the sums of a longer batch
     differently.
     """
-    weights = _sector_weights(states, dec._probability_order)
     probs = np.empty((len(states), len(dec.sectors)))
-    for cols, stretch, shape in dec._probability_groups:
-        probs[:, cols] = weights[:, stretch].reshape((len(states),) + shape).sum(axis=-1).real
+    for cols, index in dec._probability_groups:
+        probs[:, cols] = _sector_probs(states, index)
     probs[probs <= PROBABILITY_FLOOR] = 0.0
     negs = np.zeros(probs.shape + (4,))
     for k, sector in dec._live:
@@ -509,16 +507,6 @@ class EntanglementReport:
 
     sectors: tuple[SectorRecord, ...]
     eps_t: float
-
-    def sector(self, counts) -> SectorRecord | None:
-        """The record of the sector with local ``counts``, or None if it
-        was dropped; counts that are not three non-negative integers
-        raise ValueError."""
-        counts = _sector_counts(counts)
-        for rec in self.sectors:
-            if rec.counts == counts:
-                return rec
-        return None
 
 
 def entanglement_of_particles(

@@ -210,12 +210,6 @@ class ManyBodyState:
         if not np.isfinite(self.amp).all():
             raise ValueError("amplitudes must be finite")
 
-    @classmethod
-    def basis_ket(cls, basis: FockBasis, occ) -> "ManyBodyState":
-        amp = np.full(len(basis), 0j)
-        amp[basis.index(occ)] = 1.0
-        return cls(basis, amp)
-
 
 @dataclass
 class DensityMatrix:
@@ -245,11 +239,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(self.mat.trace().real)
-
-    @classmethod
-    def from_state(cls, state: ManyBodyState) -> "DensityMatrix":
-        """Pure-state projector on the full Fock basis."""
-        return cls((len(state.basis),), np.outer(state.amp, state.amp.conj()))
 
 
 @functools.lru_cache(maxsize=64)

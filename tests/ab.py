@@ -24,7 +24,13 @@ make the command exit non-zero.  For every metric of the head tree's
 
 A ``run.py`` that exits non-zero (it exits 1 on a failed operation)
 stops the harness; the attempted and failed operations of both sides
-are recorded.  The summary goes
+are recorded.  Each tree is recorded by the sha256 of its ``src``, its
+``git_commit`` and a ``dirty`` flag.  A tree that is the top of a git
+checkout whose ``src`` matches its ``HEAD`` records that commit and
+``dirty: false``; any other tree, such as an unpacked ``git archive`` or
+a checkout with changes in ``src``, records ``git_commit: null`` and
+``dirty: true``, so a record never names a commit whose ``src`` it did
+not run.  The summary goes
 to stdout and into ``BENCH_<label>.json`` at the root of the checkout
 holding this script, under ``<workload>-seed<seed>`` or ``tier1``;
 entries for other workloads and seeds already in the file are kept, so
@@ -32,11 +38,20 @@ one label can collect several runs.  The file also records the machine:
 nproc, Python, numpy, BLAS and BLAS threads, from the provenance that
 ``run.py`` prints, or for ``--tier1`` from this interpreter.
 
+With ``--history`` it runs nothing and prints, for every ``BENCH_*.json``
+committed in this checkout in the order the files were first committed,
+each workload's base and head medians of every metric.  It reads both
+schemas in the repository: this script's ``runs`` (keyed
+``<workload>-seed<seed>`` or ``tier1``, sides ``base`` and ``head``) and
+the earlier ``workloads`` block with its ``holdout_seed_<n>`` sets (sides
+``parent`` and ``change``, seed from ``seeds``).
+
 Not collected by pytest (the name does not match ``test_*.py``) and not
 part of tier-1.  A pair takes about twice ``--seconds`` plus start-up.
 
 Usage: python tests/ab.py --base DIR --head DIR (--workload W | --tier1)
            --pairs N --label L [--seed S] [--seconds S]
+       python tests/ab.py --history
 
 For example, unpack the parent commit with ``git archive`` into DIR and
 compare it with this tree.  A tree compared with a copy of itself should
@@ -112,8 +127,26 @@ def tier1_machine(trees: dict[str, Path]) -> tuple[dict, dict]:
         for path in sorted((tree / "src").rglob("*.py")):
             digest.update(path.relative_to(tree / "src").as_posix().encode() + b"\0")
             digest.update(path.read_bytes())
-        shas[side] = {"src_sha256": digest.hexdigest()}
+        shas[side] = {"src_sha256": digest.hexdigest(), **tree_commit(tree)}
     return machine, shas
+
+
+def tree_commit(tree: Path) -> dict:
+    """``git_commit`` and ``dirty`` of a tree: its ``HEAD`` when the tree is
+    the top of a git checkout and ``src`` has no change against ``HEAD``
+    (untracked files included), else null and dirty."""
+
+    def git(*args: str) -> str | None:
+        proc = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != tree.resolve():
+        return {"git_commit": None, "dirty": True}
+    commit, changes = git("rev-parse", "HEAD"), git("status", "--porcelain", "--", "src")
+    if commit is None or changes != "":
+        return {"git_commit": None, "dirty": True}
+    return {"git_commit": commit, "dirty": False}
 
 
 def _pick(result: dict, keys) -> dict:
@@ -157,18 +190,74 @@ def summarise(runs: dict[str, list[float]], better: str, bound: float | None) ->
     }
 
 
+def bench_entries(record: dict):
+    """(key, entry) of every workload measurement of a BENCH record, in
+    either schema, keyed ``<workload>-seed<seed>`` (or ``tier1``)."""
+    yield from record.get("runs", {}).items()
+    sets = {record.get("seeds", {}).get("benchmark"): record.get("workloads", {})}
+    for key, value in record.items():
+        if key.startswith("holdout_seed_"):
+            sets[int(key[len("holdout_seed_"):])] = value
+    for seed, workloads in sets.items():
+        for workload, entry in workloads.items():
+            yield f"{workload}-seed{seed}", entry
+
+
+def medians(entry: dict):
+    """(metric, base median, head median) of each metric of one entry."""
+    for name, value in entry.items():
+        if not isinstance(value, dict):
+            continue
+        sides = [value.get(side) for side in (SIDES if "base" in value else ("parent", "change"))]
+        if all(isinstance(side, dict) and "median" in side for side in sides):
+            yield name, sides[0]["median"], sides[1]["median"]
+
+
+def history(root: Path) -> int:
+    """Print the medians of every committed BENCH file, oldest first."""
+    log = subprocess.run(
+        ["git", "log", "--reverse", "--diff-filter=A", "--format=%h", "--name-only", "--",
+         "BENCH_*.json"], cwd=root, capture_output=True, text=True)
+    if log.returncode != 0:
+        raise SystemExit(f"--history needs a git checkout: {log.stderr.strip()}")
+    seen, commit = set(), None
+    for line in log.stdout.splitlines():
+        if not line.startswith("BENCH_"):
+            commit = line or commit
+            continue
+        if line in seen:
+            continue
+        seen.add(line)
+        show = subprocess.run(["git", "show", f"HEAD:{line}"], cwd=root, capture_output=True,
+                              text=True)
+        if show.returncode != 0:  # deleted since
+            continue
+        print(f"{line} (added in {commit})")
+        for key, entry in bench_entries(json.loads(show.stdout)):
+            for name, base, head in medians(entry):
+                print(f"  {key:20} {name:12} {base:10.4g} -> {head:10.4g} ({head / base - 1:+.1%})")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", type=Path, required=True, help="tree of the parent")
-    parser.add_argument("--head", type=Path, required=True, help="tree of the change")
+    parser.add_argument("--base", type=Path, help="tree of the parent")
+    parser.add_argument("--head", type=Path, help="tree of the change")
     kind = parser.add_mutually_exclusive_group(required=True)
     kind.add_argument("--workload")
     kind.add_argument("--tier1", action="store_true", help="time the tier-1 command instead")
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    kind.add_argument("--history", action="store_true", help="print the committed medians")
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--label", help="writes BENCH_<label>.json")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
+    if args.history:
+        return history(ROOT)
+    required = ("base", "head", "pairs", "label")
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
     if args.tier1:
@@ -207,7 +296,10 @@ def main(argv=None) -> int:
             "seconds": args.seconds,
             "pairs": args.pairs,
             "first_in_pair": first,
-            "trees": {side: _pick(results[side][0], ("git_commit", "src_sha256")) for side in SIDES},
+            "trees": {
+                side: {**_pick(results[side][0], ("src_sha256",)), **tree_commit(trees[side])}
+                for side in SIDES
+            },
             "operations": {
                 side: {
                     "failed": sum(r["failed"] for r in results[side]),

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from triqw import LatticeParams, ManyBodyState, Statistics, enumerate_basis
+from triqw import DensityMatrix, LatticeParams, ManyBodyState, Statistics, enumerate_basis
 from triqw.fock import FockBasis, _check_mode, apply_creation
 
 ORACLE_DIMENSION_LIMIT = 1000
@@ -37,6 +37,21 @@ def bubble_sort_parity(seq) -> float:
                 arr[j], arr[j + 1] = arr[j + 1], arr[j]
                 sign = -sign
     return sign
+
+
+def basis_ket(basis: FockBasis, occ) -> ManyBodyState:
+    """The ket ``|occ>`` of ``basis``, amplitude one."""
+    return ManyBodyState(basis, np.eye(len(basis), dtype=complex)[basis.index(occ)])
+
+
+def projector(state: ManyBodyState) -> DensityMatrix:
+    """The pure-state density matrix of ``state`` on its full Fock basis."""
+    return DensityMatrix((len(state.basis),), np.outer(state.amp, state.amp.conj()))
+
+
+def sector_record(report, counts):
+    """The record of the sector with local ``counts`` in a report, or None."""
+    return next((rec for rec in report.sectors if rec.counts == tuple(counts)), None)
 
 
 def hermitian_eigenvalues(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:

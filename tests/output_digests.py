@@ -19,11 +19,17 @@ Children run with one BLAS thread, as the benchmark's do.  Not collected
 by pytest (the name does not match ``test_*.py``) and not part of tier-1;
 a run takes about 10 s.
 
-Usage: python tests/output_digests.py [--checkout DIR]
+With ``--diff DIR`` it also runs every output from the checkout DIR and,
+under each output whose stdout differs, prints how many of its numeric
+fields moved, the largest absolute change and the line it is on, in
+both trees (the row of a CSV, the field of a JSON listing).  The outputs
+are compared line by line and number by number; when the lines or the
+numbers on a line do not pair up, it says where.
+
+Usage: python tests/output_digests.py [--checkout DIR] [--diff DIR]
 
 For example, unpack the parent commit with ``git archive`` into DIR, then
-diff ``python tests/output_digests.py --checkout DIR`` against a run on
-this tree.
+run ``python tests/output_digests.py --diff DIR`` on this tree.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +71,7 @@ CLI_OUTPUTS += [
     ("error-phi-scan-alpha-steps-502", ["phi-scan", "--alpha-steps", "502"]),
 ]
 DEPHASED_SEEDS = (0, 7)
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def outputs(checkout: Path):
@@ -76,22 +84,54 @@ def outputs(checkout: Path):
         yield f"dephased-seed-{seed}", [python, script, "--seed", str(seed)]
 
 
-def digest(argv, checkout: Path) -> tuple[str, int, str]:
+def run(argv, checkout: Path) -> tuple[bytes, int, str]:
+    """Stdout, exit code and stderr of one output, run from ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     result = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, timeout=600)
-    sha = hashlib.sha256(result.stdout).hexdigest()
-    return sha, result.returncode, result.stderr.decode("utf-8", "replace")
+    return result.stdout, result.returncode, result.stderr.decode("utf-8", "replace")
+
+
+def numeric_diff(old: str, new: str) -> str:
+    """How the numbers of output ``new`` differ from those of ``old``: the
+    fields moved, the largest absolute change and its line in both."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"{len(old_lines)} lines -> {len(new_lines)} lines"
+    moved = fields = 0
+    worst = (-1.0, 0)
+    for row, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
+        xs, ys = NUMBER.findall(a), NUMBER.findall(b)
+        if len(xs) != len(ys):
+            return f"line {row}: {len(xs)} numbers -> {len(ys)} numbers"
+        fields += len(xs)
+        for x, y in zip(xs, ys):
+            if x != y:
+                moved += 1
+                worst = max(worst, (abs(float(y) - float(x)), row))
+    change, row = worst
+    if not moved:
+        return f"stdout differs, but none of its {fields} numeric fields moved"
+    return (f"{moved} of {fields} numeric fields moved; largest |change| {change:.3g} "
+            f"at line {row}: {old_lines[row - 1].strip()!r} -> {new_lines[row - 1].strip()!r}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--diff", type=Path, metavar="DIR", help="checkout to compare with")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
+    others = outputs(args.diff.resolve()) if args.diff else None
     for name, command in outputs(checkout):
-        sha, code, err = digest(command, checkout)
-        print(f"{name:34} {sha} {code} {json.dumps(err)}", flush=True)
+        out, code, err = run(command, checkout)
+        print(f"{name:34} {hashlib.sha256(out).hexdigest()} {code} {json.dumps(err)}", flush=True)
+        if others is not None:
+            other = run(next(others)[1], args.diff.resolve())
+            if other[0] != out:
+                print(f"  {numeric_diff(other[0].decode(), out.decode())}", flush=True)
+            if other[1:] != (code, err):
+                print(f"  exit {other[1]} -> {code}; stderr {json.dumps(other[2])}", flush=True)
     return 0
 
 

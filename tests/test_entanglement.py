@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    basis_ket,
     bubble_sort_parity,
     hermitian_eigenvalues,
     jacobi_eigenvalues,
     negativity_by_jacobi,
     occupation_qubit_tensor,
+    projector,
     sector_maps,
+    sector_record,
     sector_matrix,
     su_generators,
     tripartite_negativity_by_jacobi,
@@ -155,7 +158,7 @@ class TestSectorProjection:
     @pytest.mark.parametrize("via", ["project_sector", "project_density"])
     def test_density_matrix_must_match_the_basis_dimension(self, via):
         basis = enumerate_basis(3, 6, FER)
-        small = DensityMatrix.from_state(chi_state())
+        small = projector(chi_state())
         with pytest.raises(ValueError, match="does not match the basis dimension"):
             if via == "project_sector":
                 project_sector(small, ADJACENT_PARTITION, (1, 1, 1), basis=basis)
@@ -163,7 +166,7 @@ class TestSectorProjection:
                 _decomposition(basis, ADJACENT_PARTITION).project_density(small)
 
     def test_two_fermions_on_a_one_mode_party_have_zero_probability(self):
-        state = ManyBodyState.basis_ket(enumerate_basis(2, 3, FER), (1, 1, 0))
+        state = basis_ket(enumerate_basis(2, 3, FER), (1, 1, 0))
         sec = project_sector(state, CHI_PARTITION, (2, 0, 0))
         assert (sec.prob, sec.rho) == (0.0, None)
         assert project_sector(state, CHI_PARTITION, (np.int64(1), 1, 0)).prob == 1.0
@@ -226,7 +229,7 @@ class TestSectorProjection:
         state = random_state(basis, 42)
         pure = project_sector(state, ADJACENT_PARTITION, (1, 1, 1))
         dense = project_sector(
-            DensityMatrix.from_state(state), ADJACENT_PARTITION, (1, 1, 1), basis=basis
+            projector(state), ADJACENT_PARTITION, (1, 1, 1), basis=basis
         )
         assert dense.prob == pytest.approx(pure.prob, abs=1e-12)
         assert np.abs(dense.rho.mat - pure.rho.mat).max() <= 1e-12
@@ -404,7 +407,7 @@ class TestEntanglementOfParticles:
     def test_report_lists_only_sectors_with_weight(self):
         # the adjacent partition has seven sectors for three fermions; a basis
         # ket has weight in one of them
-        state = ManyBodyState.basis_ket(enumerate_basis(3, 6, FER), (1, 1, 1, 0, 0, 0))
+        state = basis_ket(enumerate_basis(3, 6, FER), (1, 1, 1, 0, 0, 0))
         report = entanglement_of_particles(state, ADJACENT_PARTITION)
         assert [(rec.counts, rec.prob) for rec in report.sectors] == [((2, 1, 0), 1.0)]
 
@@ -446,7 +449,7 @@ class TestEntanglementOfParticles:
         state = random_state(basis, 43)
         pure = entanglement_of_particles(state, ADJACENT_PARTITION).eps_t
         dense = entanglement_of_particles(
-            DensityMatrix.from_state(state), ADJACENT_PARTITION, basis=basis
+            projector(state), ADJACENT_PARTITION, basis=basis
         ).eps_t
         assert dense == pytest.approx(pure, abs=1e-12)
 
@@ -461,7 +464,7 @@ class TestEntanglementOfParticles:
             0.5 * np.outer(ghz.amp, ghz.amp.conj()) + 0.5 * np.outer(term.amp, term.amp.conj()),
         )
         report = entanglement_of_particles(mixed, ADJACENT_PARTITION, basis=basis)
-        sector = report.sector((1, 1, 1))
+        sector = sector_record(report, (1, 1, 1))
         assert sector is not None
         assert sector.prob == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < report.eps_t < 1.0
@@ -488,7 +491,7 @@ class TestEntanglementOfParticles:
         basis = enumerate_basis(3, 6, stats)
         state = evolve_state(WALK_INIT, LatticeParams(6), 2.0, stats, basis=basis)
         if dense:
-            bad = DensityMatrix((len(basis),), scale * DensityMatrix.from_state(state).mat)
+            bad = DensityMatrix((len(basis),), scale * projector(state).mat)
             kwargs = {"basis": basis}
         else:
             bad = ManyBodyState(basis, math.sqrt(scale) * state.amp)
@@ -503,7 +506,7 @@ class TestEntanglementOfParticles:
         state = random_state(basis, 71)
         scale = 1.0 + 1e-12
         if dense:
-            near = DensityMatrix((len(basis),), scale * DensityMatrix.from_state(state).mat)
+            near = DensityMatrix((len(basis),), scale * projector(state).mat)
             report = entanglement_of_particles(near, ADJACENT_PARTITION, basis=basis)
         else:
             near = ManyBodyState(basis, math.sqrt(scale) * state.amp)
@@ -511,25 +514,9 @@ class TestEntanglementOfParticles:
         exact = entanglement_of_particles(state, ADJACENT_PARTITION).eps_t
         assert report.eps_t == pytest.approx(exact, abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "counts", [(1.7, 1, 1), (1, 1), (1, 1, 1, 0), (4, -1, 0), "111", None]
-    )
-    def test_report_sector_rejects_bad_counts(self, counts):
-        # (1.7, 1, 1) used to be truncated to the (1, 1, 1) record
-        report = entanglement_of_particles(phi_state(0.3, 0.7), ADJACENT_PARTITION)
-        with pytest.raises(ValueError, match="three non-negative integers"):
-            report.sector(counts)
-
-    def test_report_sector_accepts_integer_types(self):
-        report = entanglement_of_particles(phi_state(0.3, 0.7), ADJACENT_PARTITION)
-        record = report.sector((1, 1, 1))
-        assert record is not None
-        assert report.sector(np.array([1, 1, 1])) is record
-        assert report.sector([3, 0, 0]) is None
-
     def test_report_records_are_immutable(self):
         report = entanglement_of_particles(phi_state(0.3, 0.7), ADJACENT_PARTITION)
-        record = report.sector((1, 1, 1))
+        record = sector_record(report, (1, 1, 1))
         with pytest.raises(AttributeError):
             record.tpn = 0.0
 
@@ -674,28 +661,84 @@ class TestEpsTKernel:
                 assert np.abs(whole[b] - alone[0]).max() <= 1e-14
 
     @pytest.mark.parametrize("stats", [BOS, FER])
-    def test_plan_arrays_are_read_only(self, stats):
+    def test_plan_arrays_are_read_only(self, stats, monkeypatch):
         dec = _decomposition(enumerate_basis(4, 6, stats), ALTERNATING_PARTITION)
-        arrays = [dec._probability_order] + [cols for cols, _, _ in dec._probability_groups]
+        sectors = list(dec.sectors.values())
+        groups = dec._probability_groups
+        arrays = [arr for group in groups for arr in group]
         arrays += [a for _, sector in dec._live for a in (sector.index, sector.sign)]
         assert arrays
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
-        covered = np.concatenate([cols for cols, _, _ in dec._probability_groups])
+        # one group per sector length; row j of a group's index is the
+        # index of the sector in its column j
+        assert len({index.shape[1] for _, index in groups}) == len(groups)
+        for cols, index in groups:
+            assert index.shape == (len(cols), len(sectors[cols[0]].index))
+            for j, k in enumerate(cols.tolist()):
+                assert index[j].tolist() == sectors[k].index.tolist()
+        covered = np.concatenate([cols for cols, _ in groups])
         assert sorted(covered.tolist()) == list(range(len(dec.sectors)))
-        assert sorted(dec._probability_order.tolist()) == list(range(len(dec.basis)))
-        sectors = list(dec.sectors.values())
         live = [k for k, sec in enumerate(sectors) if min(sec.dims) > 1]
         assert [k for k, _ in dec._live] == live
         assert all(sector is sectors[k] for k, sector in dec._live)
+        # the kernel takes its probabilities with one gather per group
+        calls = []
+        sector_probs = entanglement._sector_probs
+        monkeypatch.setattr(
+            entanglement, "_sector_probs", lambda *args: calls.append(1) or sector_probs(*args)
+        )
+        _eps_t_kernel(dec, random_stack(dec.basis, 3, 4, 1))
+        assert len(calls) == len(groups) < len(sectors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stats=st.sampled_from([BOS, FER]),
+        n_particles=st.integers(1, 4),
+        modes=st.permutations(range(1, 7)),
+        cuts=st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True).map(sorted),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 5),
+        rank=st.sampled_from([1, 2]),
+    )
+    def test_kernel_probabilities_equal_project_sector(
+        self, stats, n_particles, modes, cuts, seed, batch, rank
+    ):
+        # Every sector of any partition of six modes, 2 + 2 + 2 or uneven.
+        # A state's kernel probability as a batch of one has the bytes of
+        # project_sector's.  In a longer batch numpy's gather puts the batch
+        # axis innermost in memory, so the last-axis sum adds the d
+        # non-negative weights in another order: the two sums then agree
+        # within their rounding bound (d - 1) eps prob, not bit for bit.
+        i, j = cuts
+        partition = Partition(modes[:i], modes[i:j], modes[j:])
+        basis = enumerate_basis(n_particles, 6, stats)
+        dec = _decomposition(basis, partition)
+        states = random_stack(basis, seed, batch, rank)
+        batched = _eps_t_kernel(dec, states)[0]
+        sizes = np.array([len(sector.index) for sector in dec.sectors.values()])
+        for b, item in enumerate(states):
+            alone = _eps_t_kernel(dec, item[None])[0][0]
+            if rank == 1:
+                state = ManyBodyState(basis, item)
+            else:
+                state = DensityMatrix((len(basis),), item)
+            for k, counts in enumerate(dec.sectors):
+                prob = project_sector(state, partition, counts, basis=basis).prob
+                if prob <= PROBABILITY_FLOOR:
+                    assert alone[k] == 0.0
+                else:
+                    assert alone[k].tobytes() == np.float64(prob).tobytes()
+            bound = (sizes - 1) * np.finfo(float).eps * alone
+            assert (np.abs(batched[b] - alone) <= bound).all()
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_project_state_and_density_match_kernel(self, stats):
         basis = enumerate_basis(3, 6, stats)
         dec = _decomposition(basis, ADJACENT_PARTITION)
         state = random_state(basis, 61)
-        dm = DensityMatrix.from_state(state)
+        dm = projector(state)
         for projected, stack in (
             (dec.project_state(state), state.amp[None]),
             (dec.project_density(dm), dm.mat[None]),
@@ -750,7 +793,7 @@ class TestEpsTKernel:
         for k, tau in enumerate(scan.taus):
             state = evolve_state(WALK_INIT, params, tau, stats)
             report = entanglement_of_particles(state, partition)
-            rec = report.sector((1, 1, 1))
+            rec = sector_record(report, (1, 1, 1))
             expected = (0.0,) * 5 if rec is None else (
                 rec.prob, rec.n_a_bc, rec.n_b_ac, rec.n_c_ab, rec.tpn
             )
@@ -926,12 +969,12 @@ class TestGeometricMeasure:
 
     def test_single_mode_product_ket_vanishes(self):
         basis = enumerate_basis(1, 3, BOS)
-        ket = ManyBodyState.basis_ket(basis, (1, 0, 0))
+        ket = basis_ket(basis, (1, 0, 0))
         assert abs(geometric_measure(ket, CHI_PARTITION)) <= 1e-12
 
     def test_two_mode_product_ket_vanishes(self):
         basis = enumerate_basis(3, 6, FER)
-        ket = ManyBodyState.basis_ket(basis, (0, 1, 0, 1, 0, 1))
+        ket = basis_ket(basis, (0, 1, 0, 1, 0, 1))
         assert abs(geometric_measure(ket, ADJACENT_PARTITION)) <= 1e-12
 
     def test_ghz_point_value(self):
@@ -980,13 +1023,13 @@ class TestGeometricMeasure:
     )
     def test_rejects_unequal_or_large_parties(self, n_modes, text):
         basis = enumerate_basis(3, n_modes, FER)
-        state = ManyBodyState.basis_ket(basis, (1, 1, 1) + (0,) * (n_modes - 3))
+        state = basis_ket(basis, (1, 1, 1) + (0,) * (n_modes - 3))
         with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
             geometric_measure(state, Partition.parse(text))
 
     def test_rejects_multiple_occupancy(self):
         basis = enumerate_basis(2, 3, BOS)
-        state = ManyBodyState.basis_ket(basis, (2, 0, 0))
+        state = basis_ket(basis, (2, 0, 0))
         with pytest.raises(ValueError, match="occupations of at most one"):
             geometric_measure(state, CHI_PARTITION)
 
@@ -1017,19 +1060,19 @@ class TestGeometricMeasure:
 
     def test_partition_and_occupancy_are_checked_before_the_norm(self):
         basis = enumerate_basis(3, 6, FER)
-        state = ManyBodyState(basis, 3.0 * ManyBodyState.basis_ket(basis, (1, 1, 1, 0, 0, 0)).amp)
+        state = ManyBodyState(basis, 3.0 * basis_ket(basis, (1, 1, 1, 0, 0, 0)).amp)
         with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
             geometric_measure(state, Partition.parse("1|2,3|4,5,6"))
         with pytest.raises(ValueError, match="does not cover"):
             geometric_measure(state, Partition.parse("1,2|3,4|5,7"))
         boson_basis = enumerate_basis(2, 3, BOS)
-        boson = ManyBodyState(boson_basis, 3.0 * ManyBodyState.basis_ket(boson_basis, (2, 0, 0)).amp)
+        boson = ManyBodyState(boson_basis, 3.0 * basis_ket(boson_basis, (2, 0, 0)).amp)
         with pytest.raises(ValueError, match="occupations of at most one"):
             geometric_measure(boson, CHI_PARTITION)
 
     def test_density_matrix_is_rejected(self):
         # used to raise AttributeError from mode_qubit_tensor
-        rho = DensityMatrix.from_state(chi_state())
+        rho = projector(chi_state())
         with pytest.raises(ValueError, match="pure states"):
             geometric_measure(rho, CHI_PARTITION)
 
@@ -1046,7 +1089,7 @@ class TestGeometricMeasure:
         # kets with a doubly occupied mode carry no amplitude, so the
         # mapping accepts the state
         basis = enumerate_basis(2, 3, BOS)
-        state = ManyBodyState.basis_ket(basis, (1, 1, 0))
+        state = basis_ket(basis, (1, 1, 0))
         assert geometric_measure(state, CHI_PARTITION) == 0.0
 
 
@@ -1099,7 +1142,7 @@ class TestQubitIndex:
 
     def test_mode_qubit_tensor_rejects_three_mode_parties(self):
         basis = enumerate_basis(3, 9, FER)
-        state = ManyBodyState.basis_ket(basis, (1, 1, 1) + (0,) * 6)
+        state = basis_ket(basis, (1, 1, 1) + (0,) * 6)
         with pytest.raises(ValueError, match="equal party sizes of 1 or 2 modes"):
             mode_qubit_tensor(basis, state.amp, Partition.parse("1,2,3|4,5,6|7,8,9"))
 
