@@ -132,8 +132,7 @@ def _party_layout(basis: FockBasis, partition: Partition) -> tuple[np.ndarray, n
     return _read_only(occ, np.intp), _read_only(sign)
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     """One fixed local-particle-number block of a partitioned basis.
 
     Entry ``f`` of the local product basis (party A x party B x party C,
@@ -153,8 +152,7 @@ class Sector:
     signs: np.ndarray
 
 
-@dataclass
-class SectorState:
+class SectorState(NamedTuple):
     """Projection result: sector probability and normalized block state."""
 
     counts: tuple[int, int, int]
@@ -243,12 +241,14 @@ def _sector_probs(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
     the (m, d) stack of m sectors of one length.  Each is its states'
     ``|amp|^2``, or diagonal entries, summed over that axis, then the real
     part.  A sign of +-1 changes no modulus and no diagonal entry, so it is
-    left out."""
+    left out.  The gathered weights are made C-contiguous before the sum:
+    a (B, m, d) gather puts the batch axis innermost in memory, and numpy
+    would then add a state's weights in an order that depends on B."""
     if states.ndim == 3:
         weights = states[:, positions, positions]
     else:
         weights = np.abs(states[:, positions]) ** 2
-    return weights.sum(axis=-1).real
+    return np.ascontiguousarray(weights).sum(axis=-1).real
 
 
 def _sector_blocks(sector: Sector, states: np.ndarray, rows, prob) -> np.ndarray:
@@ -362,7 +362,8 @@ def _check_normalised(measure: str, state) -> None:
 
 
 def partial_transpose(rho: DensityMatrix, party: int) -> DensityMatrix:
-    """Transpose the indices of one party; an involution."""
+    """Transpose the indices of one party; an involution.  ``party`` is
+    checked as in ``bipartite_negativity``."""
     party = _check_party(rho, party)
     mat = rho.mat.reshape(-1)[_transpose_index(rho.dims)[party]]
     return DensityMatrix(rho.dims, mat.reshape(rho.mat.shape))
@@ -466,8 +467,8 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     ``project_sector``, ``bipartite_negativity`` and
     ``tripartite_negativity``, so on that path a batch of one gives bit
     for bit what they give on the same sector; the closed form agrees
-    with them to roundoff.  numpy may order the sums of a longer batch
-    differently.
+    with them to roundoff.  A state's outputs do not depend on the other
+    states of its batch, so any split of a stack gives the same bits.
     """
     probs = np.empty((len(states), len(dec.sectors)))
     for cols, index in dec._probability_groups:
@@ -501,8 +502,7 @@ class SectorRecord(NamedTuple):
     tpn: float
 
 
-@dataclass
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     """Per-sector negativities and the particle-number-weighted total."""
 
     sectors: tuple[SectorRecord, ...]
@@ -543,8 +543,9 @@ def mode_qubit_tensor(basis: FockBasis, amps: np.ndarray, partition: Partition) 
     Scatters a (..., n) stack of amplitude vectors on ``basis`` into
     (..., d, d, d) tensors, so each party of m modes is a d = 2^m-level
     subsystem, at the positions and with the signs of ``_party_layout``.
-    Fails if any ket with more than one particle in a mode carries
-    amplitude in any row.
+    The parties must have equal sizes of one or two modes, and it fails if
+    any ket with more than one particle in a mode carries amplitude in any
+    row.
     """
     if {len(p) for p in partition.parties} not in ({1}, {2}):
         raise ValueError("geometric measure supports equal party sizes of 1 or 2 modes")

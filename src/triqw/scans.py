@@ -7,7 +7,9 @@ tensors by ``mode_qubit_tensor`` as ``geometric_measure`` does) to the
 ``eps_T`` and ``eps_G`` kernels.  The walk builds all its propagators in
 one call and their amplitudes through one plan, with no per-time state,
 and passes them to the ``eps_T`` kernel in one call.  Both take the shared
-sector decomposition of their basis and partition.  Sample counts are
+sector decomposition of their basis and partition.  The kernels give a
+state the same bits in any batch, so every scan value equals the
+per-state function's value on the same state.  Sample counts are
 capped (MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
 memory grows with them; larger requests are rejected before anything is
 allocated.  The walk and the snapshot check their initial occupation
@@ -21,7 +23,7 @@ it.  The chain has no energy parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +74,7 @@ def chi_report() -> dict[str, float]:
     }
 
 
-@dataclass
-class PhiScan:
+class PhiScan(NamedTuple):
     alphas: np.ndarray
     betas: np.ndarray
     eps_t: np.ndarray  # shape (alphas, betas)
@@ -104,8 +105,7 @@ def phi_scan(
     return PhiScan(alphas, betas, eps_t, eps_g)
 
 
-@dataclass
-class WalkScan:
+class WalkScan(NamedTuple):
     taus: np.ndarray
     p111: np.ndarray
     n_a_bc: np.ndarray

@@ -8,8 +8,16 @@ end-to-end metrics from the last stdout line of ``run.py``.  With
 that tree, with one BLAS thread as in the benchmark's children, and its
 one metric ``wall_s`` is the command's wall time; the counts of passed
 and failed tests of every run are recorded, because the known failures
-make the command exit non-zero.  For every metric of the head tree's
-``BENCHMARK.json`` (for ``--tier1``, for ``wall_s``) it reports:
+make the command exit non-zero.  With ``--workload``, each pair also
+starts with a ``python -c "import numpy"`` child (one BLAS thread, as in
+the benchmark's children), timed from spawn to exit.  That time is the
+floor of ``wall_s`` and ``setup_s`` that no change to ``src`` can move.
+Its median and quartiles go into the entry's ``floor`` block as measured
+seconds, next to each side's median ``measured_setup_s``, the set-up
+time that ``run.py`` prints before rescaling it by the benchmark's
+calibration child.  The floor compares with those, not with
+``setup_s``.  For every metric of the head tree's ``BENCHMARK.json``
+(for ``--tier1``, for ``wall_s``) it reports:
 
 * each side's median and quartiles, and the head's median relative to
   the base's;
@@ -78,6 +86,7 @@ SIDES = ("base", "head")
 WIN_SHARE = 0.9  # share of pairs the better side must win for a gain
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FLOOR = [sys.executable, "-c", "import numpy"]
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -92,7 +101,33 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     for line in lines:
         if line.startswith("provenance "):
             result["provenance"] = json.loads(line[len("provenance "):])
+        elif line.startswith("measured_setup_s "):
+            result["measured_setup_s"] = float(line.split()[1])
     return result
+
+
+def time_floor() -> float:
+    """Wall seconds of one ``FLOOR`` child, from spawn to exit."""
+    env = dict(os.environ, **dict.fromkeys(BLAS_ENV, "1"))
+    start = time.perf_counter()
+    subprocess.run(FLOOR, env=env, check=True, timeout=600)
+    return time.perf_counter() - start
+
+
+def floor_block(floor: list[float], results: dict[str, list[dict]]) -> dict:
+    """The ``floor`` entry: the quartiles of the floor children's seconds,
+    and each side's median measured set-up time, all uncalibrated."""
+    setup = {
+        side: statistics.median(r["measured_setup_s"] for r in results[side])
+        for side in SIDES
+    }
+    return {
+        "command": "python -c 'import numpy'",
+        "unit": "s",
+        **dict(zip(("q1", "median", "q3"), quartiles(floor))),
+        "runs": floor,
+        "measured_setup_s": setup,
+    }
 
 
 def run_tier1(tree: Path) -> dict:
@@ -258,16 +293,20 @@ def main(argv=None) -> int:
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
         parser.error(f"the following arguments are required: {', '.join(missing)}")
+    if args.pairs < 2:  # quartiles need two runs per side
+        parser.error("--pairs must be at least 2")
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
     if args.tier1:
         spec = [dict(metric, bound=None) for metric in spec if metric["name"] == "wall_s"]
 
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
-    first = []
+    first, floor = [], []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
+        if not args.tier1:
+            floor.append(time_floor())
         for side in order:
             if args.tier1:
                 results[side].append(run_tier1(trees[side]))
@@ -307,7 +346,12 @@ def main(argv=None) -> int:
                 }
                 for side in SIDES
             },
+            "floor": floor_block(floor, results),
         }
+        f = entry["floor"]
+        print(f"floor (python -c 'import numpy', measured): {f['median']:.4g} "
+              f"[{f['q1']:.4g}-{f['q3']:.4g}] s; measured setup_s base "
+              f"{f['measured_setup_s']['base']:.4g} head {f['measured_setup_s']['head']:.4g}")
     for metric in spec:
         name = metric["name"]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}

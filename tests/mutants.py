@@ -208,6 +208,25 @@ MUTANTS = [
         "any(n > 1 for n in init)",
         "any(n > 2 for n in init)",
     ),
+    (
+        "probability-sum-batch-order",
+        "entanglement.py",
+        "np.ascontiguousarray(weights).sum(axis=-1).real",
+        "weights.sum(axis=-1).real",
+    ),
+    (
+        "scan-eps-t-last-bit",
+        "scans.py",
+        "eps_t[i] = _eps_t_kernel(dec, amps)[2]",
+        "eps_t[i] = _eps_t_kernel(dec, amps)[2] * (1.0 + 2.0**-52)",
+    ),
+    ("cli-tau-max-renamed", "cli.py", '"--tau-max"', '"--t-max"'),
+    (
+        "report-sectors-renamed",
+        "entanglement.py",
+        "    sectors: tuple[SectorRecord, ...]",
+        "    records: tuple[SectorRecord, ...]",
+    ),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")

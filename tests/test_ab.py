@@ -1,7 +1,8 @@
-"""The A/B harness names a commit only for a tree whose ``src`` it is, and
+"""The A/B harness names a commit only for a tree whose ``src`` it is,
 ``--history`` reads both schemas of the committed BENCH files in the order
-they were committed.  Each case builds a small git repository in a
-temporary directory."""
+they were committed, and each workload pair records the floor child.  The
+provenance and history cases build a small git repository in a temporary
+directory."""
 
 import json
 import subprocess
@@ -121,3 +122,83 @@ def test_history_follows_the_order_of_first_commit(checkout, capsys):
     ]
     assert sum(line.startswith(" ") for line in lines) == 2 + 3
     assert "walk-seed11" in lines[2] and "1.3" in lines[2] and "1.1" in lines[2]
+
+
+def fake_run(values):
+    """A stand-in for ``ab.run`` that returns one canned result per call."""
+    values = iter(values)
+
+    def run(tree, workload, seed, seconds):
+        wall, setup = next(values)
+        metrics = {"wall_s": {"value": wall}, "setup_s": {"value": setup}}
+        provenance = {"src_sha256": tree.name, "nproc": 2}
+        return {"metrics": metrics, "measured_setup_s": setup / 2, "provenance": provenance,
+                "failed": 0, "attempted": 3}
+
+    return run
+
+
+def test_each_workload_pair_times_a_floor_child(tmp_path, monkeypatch):
+    import ab
+
+    spec = [{"name": name, "unit": "s", "better": "lower", "bound": 0.1}
+            for name in ("wall_s", "setup_s")]
+    trees = {side: tmp_path / side for side in ("base", "head")}
+    for tree in trees.values():
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec}))
+    # pair 1 runs base then head, pair 2 head then base
+    monkeypatch.setattr(ab, "run", fake_run([(1.0, 0.2), (0.9, 0.3), (0.8, 0.5), (1.1, 0.4)]))
+    floors = iter([0.1, 0.3])
+    monkeypatch.setattr(ab, "time_floor", lambda: next(floors))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    argv = ["--base", str(trees["base"]), "--head", str(trees["head"]), "--workload", "walk",
+            "--pairs", "2", "--label", "t"]
+    assert ab.main(argv) == 0
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]["walk-seed7"]
+    assert entry["setup_s"]["runs"] == {"base": [0.2, 0.4], "head": [0.3, 0.5]}
+    floor = entry["floor"]
+    assert floor["runs"] == [0.1, 0.3]
+    assert [floor[q] for q in ("q1", "median", "q3")] == pytest.approx([0.15, 0.2, 0.25])
+    assert floor["measured_setup_s"] == pytest.approx({"base": 0.15, "head": 0.2})
+
+
+def test_the_floor_child_imports_numpy():
+    import ab
+
+    assert ab.FLOOR[1:] == ["-c", "import numpy"]
+    assert 0.0 < ab.time_floor() < 60.0
+
+
+def test_one_pair_is_rejected_before_any_run(tmp_path, monkeypatch):
+    import ab
+
+    monkeypatch.setattr(ab, "run", fake_run([]))
+    monkeypatch.setattr(ab, "time_floor", lambda: 0.1)
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    argv = ["--base", str(tmp_path), "--head", str(tmp_path), "--workload", "walk",
+            "--pairs", "1", "--label", "t"]
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(argv)
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_run_reads_the_lines_run_py_prints(tmp_path, monkeypatch):
+    import ab
+
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"wall_s": {"value": 0.4, "unit": "s"}}}
+    stdout = "\n".join([
+        'provenance {"nproc": 2, "src_sha256": "abc"}',
+        "error_rate 0 (0/3 operations)",
+        "measured_wall_s 0.3 s (not rescaled)",
+        "measured_setup_s 0.125 s (not rescaled)",
+        "wall_s 0.4 s",
+        json.dumps(result),
+    ])
+    monkeypatch.setattr(ab.subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(
+        argv, 0, stdout=stdout, stderr=""))
+    assert ab.run(tmp_path, "walk", 7, 1.0) == dict(
+        result, provenance={"nproc": 2, "src_sha256": "abc"}, measured_setup_s=0.125
+    )

@@ -706,18 +706,14 @@ class TestEpsTKernel:
         self, stats, n_particles, modes, cuts, seed, batch, rank
     ):
         # Every sector of any partition of six modes, 2 + 2 + 2 or uneven.
-        # A state's kernel probability as a batch of one has the bytes of
-        # project_sector's.  In a longer batch numpy's gather puts the batch
-        # axis innermost in memory, so the last-axis sum adds the d
-        # non-negative weights in another order: the two sums then agree
-        # within their rounding bound (d - 1) eps prob, not bit for bit.
+        # A state's kernel probability, alone or in a longer batch, has the
+        # bytes of project_sector's.
         i, j = cuts
         partition = Partition(modes[:i], modes[i:j], modes[j:])
         basis = enumerate_basis(n_particles, 6, stats)
         dec = _decomposition(basis, partition)
         states = random_stack(basis, seed, batch, rank)
         batched = _eps_t_kernel(dec, states)[0]
-        sizes = np.array([len(sector.index) for sector in dec.sectors.values()])
         for b, item in enumerate(states):
             alone = _eps_t_kernel(dec, item[None])[0][0]
             if rank == 1:
@@ -730,8 +726,7 @@ class TestEpsTKernel:
                     assert alone[k] == 0.0
                 else:
                     assert alone[k].tobytes() == np.float64(prob).tobytes()
-            bound = (sizes - 1) * np.finfo(float).eps * alone
-            assert (np.abs(batched[b] - alone) <= bound).all()
+            assert batched[b].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_project_state_and_density_match_kernel(self, stats):
@@ -788,18 +783,29 @@ class TestEpsTKernel:
     @pytest.mark.parametrize("stats", [BOS, FER])
     @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
     def test_walk_scan_rows_match_per_state_reports(self, stats, partition):
-        scan = walk_scan(stats, partition, tau_max=6.0, steps=5)
+        # bit for bit on every row of the default walk
+        columns = dict(p111="prob", n_a_bc="n_a_bc", n_b_ac="n_b_ac", n_c_ab="n_c_ab", tpn="tpn")
+        scan = walk_scan(stats, partition)
         params = LatticeParams(len(WALK_INIT))
-        for k, tau in enumerate(scan.taus):
-            state = evolve_state(WALK_INIT, params, tau, stats)
-            report = entanglement_of_particles(state, partition)
-            rec = sector_record(report, (1, 1, 1))
-            expected = (0.0,) * 5 if rec is None else (
-                rec.prob, rec.n_a_bc, rec.n_b_ac, rec.n_c_ab, rec.tpn
-            )
-            row = (scan.p111, scan.n_a_bc, scan.n_b_ac, scan.n_c_ab, scan.tpn)
-            assert np.abs(np.array([col[k] for col in row]) - expected).max() <= 1e-12
-            assert scan.eps_t[k] == pytest.approx(report.eps_t, abs=1e-12)
+        rows = []
+        for tau in scan.taus:
+            report = entanglement_of_particles(evolve_state(WALK_INIT, params, tau, stats), partition)
+            record = sector_record(report, (1, 1, 1))  # None below the probability floor
+            rows.append([getattr(record, field, 0.0) for field in columns.values()] + [report.eps_t])
+        for name, column in zip([*columns, "eps_t"], np.array(rows).T):
+            assert getattr(scan, name).tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])
+    def test_phi_scan_points_match_per_state_measures(self, partition):
+        # bit for bit on every point of a 21 x 21 grid
+        scan = phi_scan(21, 21, partition)
+        eps_t, eps_g = np.empty((21, 21)), np.empty((21, 21))
+        for (i, alpha), (j, beta) in itertools.product(enumerate(scan.alphas), enumerate(scan.betas)):
+            state = phi_state(alpha, beta)
+            eps_t[i, j] = entanglement_of_particles(state, partition).eps_t
+            eps_g[i, j] = geometric_measure(state, partition)
+        assert scan.eps_t.tobytes() == eps_t.tobytes()
+        assert scan.eps_g.tobytes() == eps_g.tobytes()
 
 
 def qubit_sector_stack(stats, partition, blocks):

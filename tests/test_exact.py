@@ -9,8 +9,8 @@
   Both are bit for bit the same under every relabelling of its parties.
 * The walk is symmetric under time reversal (C(-tau) = C(tau)*) and under
   the mirror m -> 7 - m of the chain.
-* The batched ``eps_T`` kernel gives the same bits wherever its input sits
-  in memory.
+* The batched kernels give the same bits wherever their input sits in
+  memory and whatever batch a state shares.
 """
 
 import itertools
@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triqw import (
     ADJACENT_PARTITION,
@@ -34,7 +36,9 @@ from triqw import (
     phi_scan,
     walk_scan,
 )
-from triqw.entanglement import _decomposition, _eps_t_kernel
+from triqw.dynamics import _propagator
+from triqw.entanglement import _decomposition, _eps_t_kernel, _geometric_kernel
+from triqw.fock import _monomial_amplitudes
 
 SCENARIOS = [
     (stats, partition)
@@ -158,3 +162,54 @@ class TestAlignmentRepeatability:
         for offset in range(8, 64, 8):
             outputs = _eps_t_kernel(dec, placed(states, offset))
             assert [out.tobytes() for out in outputs] == reference, offset
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 9),
+        dense=st.booleans(),
+        stats=st.sampled_from(list(Statistics)),
+        sizes=st.tuples(*[st.integers(1, 2)] * 3),
+        data=st.data(),
+    )
+    def test_kernels_are_bit_identical_over_every_split(
+        self, seed, batch, dense, stats, sizes, data
+    ):
+        # a stack gives the bits of the concatenation of its sub-batches
+        n_modes = sum(sizes)
+        modes = data.draw(st.permutations(range(1, n_modes + 1)))
+        partition = Partition(modes[: sizes[0]], modes[sizes[0] : -sizes[2]], modes[-sizes[2] :])
+        limit = 4 if stats is Statistics.BOSONS else min(4, n_modes)
+        basis = enumerate_basis(data.draw(st.integers(1, limit)), n_modes, stats)
+        cuts = sorted(data.draw(st.sets(st.integers(1, batch - 1))) if batch > 1 else set())
+        # the drawn split, and every state on its own
+        splits = [list(zip([0, *cuts], [*cuts, batch])), [(b, b + 1) for b in range(batch)]]
+        rng = np.random.default_rng(seed)
+        n = len(basis)
+        vecs = rng.normal(size=(batch, 2, n)) + 1j * rng.normal(size=(batch, 2, n))
+        vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+        if dense:
+            weights = rng.uniform(0.1, 1.0, size=(batch, 2))
+            weights /= weights.sum(axis=1, keepdims=True)
+            states = np.einsum("br,bri,brj->bij", weights, vecs, vecs.conj())
+        else:
+            states = vecs[:, 0]
+        dim = 2 ** rng.integers(1, 3)
+        tensors = rng.normal(size=(batch, dim, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim, dim))
+        taus = rng.uniform(-30.0, 30.0, size=batch)
+        init = basis.states[rng.integers(n)]
+        dec = _decomposition(basis, partition)
+        kernels = {
+            "eps_t": lambda lo, hi: _eps_t_kernel(dec, states[lo:hi]),
+            "geometric": lambda lo, hi: (_geometric_kernel(tensors[lo:hi]),),
+            "propagator": lambda lo, hi: (_propagator(n_modes, taus[lo:hi]),),
+            "amplitudes": lambda lo, hi: (
+                _monomial_amplitudes(basis, init, _propagator(n_modes, taus[lo:hi])),
+            ),
+        }
+        for name, kernel in kernels.items():
+            whole = [out.tobytes() for out in kernel(0, batch)]
+            for bounds in splits:
+                parts = zip(*(kernel(lo, hi) for lo, hi in bounds))
+                assert [np.concatenate(part).tobytes() for part in parts] == whole, (name, bounds)
+
