@@ -194,9 +194,14 @@ def apply_creation(occ, mode: int, stats: Statistics):
     return math.sqrt(occ[i] + 1.0), occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
 
 
-@dataclass
+@dataclass(eq=False)
 class ManyBodyState:
-    """Complex amplitude vector over an enumerated Fock basis."""
+    """Complex amplitude vector over an enumerated Fock basis.
+
+    States compare and hash by identity, as ``DensityMatrix`` does: a
+    field-wise ``==`` would compare numpy arrays, whose truth value is
+    ambiguous.
+    """
 
     basis: FockBasis
     amp: np.ndarray
@@ -211,7 +216,7 @@ class ManyBodyState:
             raise ValueError("amplitudes must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityMatrix:
     """Hermitian density matrix over a labelled tensor-product space.
 

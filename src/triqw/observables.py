@@ -5,9 +5,10 @@ propagator, so their cost is polynomial in the mode count and independent
 of the Fock dimension:
 
 * density     rho_r = sum_s |C_rs|^2 n_s                 (statistics-blind)
-* pair matrix Gamma_rs = sum_{p>q} |C_rp C_sq +- C_rq C_sp|^2 n_p n_q
-              (+ for bosons, - for fermions), plus the bosonic
-              same-site term sum_p |C_rp|^2 |C_sp|^2 n_p (n_p - 1)
+* pair matrix Gamma_rs = sum_{p>=q} |C_rp C_sq +- C_rq C_sp|^2 w_pq
+              (+ for bosons, - for fermions), with w_pq = n_p n_q for
+              p > q and w_pp = n_p (n_p - 1) / 4 on the same site, where
+              the amplitude is 2 C_rp C_sp for bosons and 0 for fermions
 * distance    g(Delta) = sum_q Gamma_{q, q+Delta}, single-sided
 
 Occupations are checked by ``fock._occupations``: non-negative integers,
@@ -47,17 +48,10 @@ def two_particle_correlation(prop, occupations, stats: Statistics) -> np.ndarray
     n = np.array(_occupations(occupations, len(mat), stats), dtype=float)
 
     sign = -1.0 if stats.exclusive else 1.0
-    # amp[r, s, p, q] = C_rp C_sq +- C_rq C_sp, summed over pairs q < p
+    # amp[r, s, p, q] = C_rp C_sq +- C_rq C_sp, summed over pairs q <= p
     direct = np.einsum("rp,sq->rspq", mat, mat)
-    exchanged = np.einsum("rq,sp->rspq", mat, mat)
-    pair_weight = np.tril(np.outer(n, n), k=-1)  # n_p n_q restricted to q < p
-    gamma = np.einsum(
-        "rspq,pq->rs", np.abs(direct + sign * exchanged) ** 2, pair_weight
-    )
-    if not stats.exclusive:
-        bunching = n * (n - 1.0)
-        gamma += np.einsum("rp,sp,p->rs", np.abs(mat) ** 2, np.abs(mat) ** 2, bunching)
-    return gamma
+    weight = np.tril(np.outer(n, n), k=-1) + np.diag(n * (n - 1.0) / 4)
+    return np.einsum("rspq,pq->rs", np.abs(direct + sign * direct.swapaxes(2, 3)) ** 2, weight)
 
 
 def interparticle_distance(gamma: np.ndarray) -> np.ndarray:

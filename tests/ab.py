@@ -1,23 +1,22 @@
 """A/B harness: alternating benchmark runs of two trees, one summary per metric.
 
 Runs each tree's own ``perfbench/run.py --trace 0`` for one workload, in
-``--pairs`` pairs.  The side that runs first alternates: the base tree
-first in even pairs, the head tree first in odd ones.  Each run reads its
-end-to-end metrics from the last stdout line of ``run.py``.  With
-``--tier1`` instead of ``--workload``, each run is the tier-1 command in
-that tree, with one BLAS thread as in the benchmark's children, and its
-one metric ``wall_s`` is the command's wall time; the counts of passed
-and failed tests of every run are recorded, because the known failures
-make the command exit non-zero.  With ``--workload``, each pair also
-starts with a ``python -c "import numpy"`` child (one BLAS thread, as in
-the benchmark's children), timed from spawn to exit.  That time is the
-floor of ``wall_s`` and ``setup_s`` that no change to ``src`` can move.
-Its median and quartiles go into the entry's ``floor`` block as measured
-seconds, next to each side's median ``measured_setup_s``, the set-up
-time that ``run.py`` prints before rescaling it by the benchmark's
-calibration child.  The floor compares with those, not with
-``setup_s``.  For every metric of the head tree's ``BENCHMARK.json``
-(for ``--tier1``, for ``wall_s``) it reports:
+``--pairs`` pairs, each run as long as the head tree's ``BENCHMARK.json``
+``run_seconds`` (recorded as the entry's ``seconds``).  The base tree runs
+first in even pairs, the head tree in odd ones.  Each run reads its
+end-to-end metrics from the last stdout line of ``run.py``.  Each pair
+also starts with a ``python -c "import numpy"`` child, timed from spawn
+to exit: the floor of ``wall_s`` and ``setup_s`` that no change to
+``src`` can move.  Its quartiles go into the entry's ``floor`` block,
+next to each side's median ``measured_setup_s`` (the set-up time that
+``run.py`` prints before rescaling it by the calibration child), which
+is what it compares with.  With ``--tier1`` instead of ``--workload``,
+each run is the tier-1 command in that tree, its one metric ``wall_s``
+is the command's wall time, and the counts of passed and failed tests
+of every run are recorded, because the known failures make the command
+exit non-zero.  Every child gets the benchmark's BLAS thread count.  For
+every metric of the head tree's ``BENCHMARK.json`` (for ``--tier1``,
+for ``wall_s``) it reports:
 
 * each side's median and quartiles, and the head's median relative to
   the base's;
@@ -32,33 +31,30 @@ calibration child.  The floor compares with those, not with
 
 A ``run.py`` that exits non-zero (it exits 1 on a failed operation)
 stops the harness; the attempted and failed operations of both sides
-are recorded.  Each tree is recorded by the sha256 of its ``src``, its
-``git_commit`` and a ``dirty`` flag.  A tree that is the top of a git
-checkout whose ``src`` matches its ``HEAD`` records that commit and
-``dirty: false``; any other tree, such as an unpacked ``git archive`` or
-a checkout with changes in ``src``, records ``git_commit: null`` and
-``dirty: true``, so a record never names a commit whose ``src`` it did
-not run.  The summary goes
-to stdout and into ``BENCH_<label>.json`` at the root of the checkout
-holding this script, under ``<workload>-seed<seed>`` or ``tier1``;
-entries for other workloads and seeds already in the file are kept, so
-one label can collect several runs.  The file also records the machine:
-nproc, Python, numpy, BLAS and BLAS threads, from the provenance that
-``run.py`` prints, or for ``--tier1`` from this interpreter.
+are recorded.  Each tree is recorded by the sha256 of its ``src`` (the
+byte stream of ``run.py``'s provenance), its ``git_commit`` and a
+``dirty`` flag: a tree that is the top of a git checkout whose ``src``
+matches its ``HEAD`` records that commit and ``dirty: false``; any
+other, such as an unpacked ``git archive``, records ``git_commit: null``
+and ``dirty: true``, so a record never names a commit whose ``src`` it
+did not run.  The summary goes to stdout and into ``BENCH_<label>.json``
+at the root of the checkout holding this script, under
+``<workload>-seed<seed>`` or ``tier1``, next to the file's other
+entries, with the machine (nproc, Python, numpy, BLAS and BLAS threads)
+of this interpreter, which runs both trees.
 
-With ``--history`` it runs nothing and prints, for every ``BENCH_*.json``
-committed in this checkout in the order the files were first committed,
-each workload's base and head medians of every metric.  It reads both
-schemas in the repository: this script's ``runs`` (keyed
-``<workload>-seed<seed>`` or ``tier1``, sides ``base`` and ``head``) and
-the earlier ``workloads`` block with its ``holdout_seed_<n>`` sets (sides
-``parent`` and ``change``, seed from ``seeds``).
+With ``--history`` it runs nothing and prints each workload's base and
+head medians of every metric, for every ``BENCH_*.json`` committed in
+this checkout, in the order the files were first committed.  It reads
+both schemas in the repository: this script's ``runs`` (sides ``base``
+and ``head``) and the earlier ``workloads`` block with its
+``holdout_seed_<n>`` sets (sides ``parent`` and ``change``).
 
 Not collected by pytest (the name does not match ``test_*.py``) and not
-part of tier-1.  A pair takes about twice ``--seconds`` plus start-up.
+part of tier-1.  A pair takes about twice ``run_seconds`` plus start-up.
 
 Usage: python tests/ab.py --base DIR --head DIR (--workload W | --tier1)
-           --pairs N --label L [--seed S] [--seconds S]
+           --pairs N --label L [--seed S]
        python tests/ab.py --history
 
 For example, unpack the parent commit with ``git archive`` into DIR and
@@ -69,6 +65,7 @@ show no gain.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -82,11 +79,18 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import BLAS_ENV, BLAS_THREADS  # noqa: E402
+
 SIDES = ("base", "head")
 WIN_SHARE = 0.9  # share of pairs the better side must win for a gain
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FLOOR = [sys.executable, "-c", "import numpy"]
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with the benchmark's BLAS thread count."""
+    return dict(os.environ, **dict.fromkeys(BLAS_ENV, str(BLAS_THREADS)), **extra)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -108,9 +112,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def time_floor() -> float:
     """Wall seconds of one ``FLOOR`` child, from spawn to exit."""
-    env = dict(os.environ, **dict.fromkeys(BLAS_ENV, "1"))
     start = time.perf_counter()
-    subprocess.run(FLOOR, env=env, check=True, timeout=600)
+    subprocess.run(FLOOR, env=child_env(), check=True, timeout=600)
     return time.perf_counter() - start
 
 
@@ -133,8 +136,8 @@ def floor_block(floor: list[float], results: dict[str, list[dict]]) -> dict:
 def run_tier1(tree: Path) -> dict:
     """One tier-1 command in ``tree``: its wall time as ``wall_s`` and the
     counts of pytest's summary line."""
-    env = dict(os.environ, **dict.fromkeys(BLAS_ENV, "1"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = child_env(PYTHONPATH=path)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
                           text=True, timeout=1800)
@@ -144,9 +147,9 @@ def run_tier1(tree: Path) -> dict:
     return {"metrics": {"wall_s": {"value": wall}}, "tests": counts}
 
 
-def tier1_machine(trees: dict[str, Path]) -> tuple[dict, dict]:
-    """(machine block, trees block) of a ``--tier1`` run: this interpreter's
-    versions, and the sha256 of each tree's ``src`` as ``run.py`` takes it."""
+def machine_and_trees(trees: dict[str, Path]) -> tuple[dict, dict]:
+    """(machine block, trees block) of a record: this interpreter's versions,
+    and each tree's ``src`` sha256 as ``run.py`` takes it and its commit."""
     import numpy
 
     try:
@@ -155,7 +158,7 @@ def tier1_machine(trees: dict[str, Path]) -> tuple[dict, dict]:
     except (TypeError, KeyError):
         blas = "unknown"
     machine = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-               "numpy": numpy.__version__, "blas": blas, "blas_threads": 1}
+               "numpy": numpy.__version__, "blas": blas, "blas_threads": BLAS_THREADS}
     shas = {}
     for side, tree in trees.items():
         digest = hashlib.sha256()
@@ -182,10 +185,6 @@ def tree_commit(tree: Path) -> dict:
     if commit is None or changes != "":
         return {"git_commit": None, "dirty": True}
     return {"git_commit": commit, "dirty": False}
-
-
-def _pick(result: dict, keys) -> dict:
-    return {key: result.get("provenance", {}).get(key) for key in keys}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -285,7 +284,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--label", help="writes BENCH_<label>.json")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     if args.history:
         return history(ROOT)
@@ -296,9 +294,16 @@ def main(argv=None) -> int:
     if args.pairs < 2:  # quartiles need two runs per side
         parser.error("--pairs must be at least 2")
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
-    spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+    spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     if args.tier1:
         spec = [dict(metric, bound=None) for metric in spec if metric["name"] == "wall_s"]
+    machine, shas = machine_and_trees(trees)
+    if args.tier1:
+        key, measure = "tier1", run_tier1
+    else:
+        key = f"{args.workload}-seed{args.seed}"
+        measure = functools.partial(run, workload=args.workload, seed=args.seed, seconds=seconds)
 
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     first, floor = [], []
@@ -308,42 +313,26 @@ def main(argv=None) -> int:
         if not args.tier1:
             floor.append(time_floor())
         for side in order:
-            if args.tier1:
-                results[side].append(run_tier1(trees[side]))
-            else:
-                results[side].append(run(trees[side], args.workload, args.seed, args.seconds))
+            results[side].append(measure(trees[side]))
         values = {side: results[side][-1]["metrics"]["wall_s"]["value"] for side in SIDES}
         print(f"pair {i + 1}/{args.pairs}: wall_s base {values['base']:.4f} "
               f"head {values['head']:.4f}", flush=True)
 
+    common = {"pairs": args.pairs, "first_in_pair": first, "trees": shas}
     if args.tier1:
-        key = "tier1"
-        machine, shas = tier1_machine(trees)
         entry = {
             "command": " ".join(["PYTHONPATH=src python", *TIER1]),
-            "pairs": args.pairs,
-            "first_in_pair": first,
-            "trees": shas,
+            **common,
             "tests": {side: [r["tests"] for r in results[side]] for side in SIDES},
         }
     else:
-        key = f"{args.workload}-seed{args.seed}"
-        machine = _pick(results["head"][0], ("nproc", "python", "numpy", "blas", "blas_threads"))
         entry = {
             "workload": args.workload,
             "seed": args.seed,
-            "seconds": args.seconds,
-            "pairs": args.pairs,
-            "first_in_pair": first,
-            "trees": {
-                side: {**_pick(results[side][0], ("src_sha256",)), **tree_commit(trees[side])}
-                for side in SIDES
-            },
+            "seconds": seconds,
+            **common,
             "operations": {
-                side: {
-                    "failed": sum(r["failed"] for r in results[side]),
-                    "attempted": sum(r["attempted"] for r in results[side]),
-                }
+                side: {n: sum(r[n] for r in results[side]) for n in ("failed", "attempted")}
                 for side in SIDES
             },
             "floor": floor_block(floor, results),

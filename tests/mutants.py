@@ -1,39 +1,38 @@
 """Mutation check: how many tier-1 tests kill each one-line mutant of ``src/``.
 
-Copies the checkout (without ``.git`` and caches) to a temporary
-directory and runs tier-1 there, once unmutated to learn which tests fail
-anyway, then once per mutant with its one-line change applied.  A mutant's
-text must occur exactly once in its file.  The count printed for a mutant
-is the number of tests that fail under it but pass unmutated.
-
-With ``--generated`` it runs the one-node AST mutants of every module in
-``src/triqw`` instead (see ``generated_mutants``): each runs tier-1 with
-``pytest -x`` and the unmutated failures deselected, so a mutant is killed
-by its first failing test, a timeout or a crash.  Survivors keyed in
+Copies the checkout (without ``.git`` and caches) to ``JOBS`` temporary
+directories and runs tier-1 in one of them unmutated, to learn which
+tests fail anyway.  Then ``sweep`` runs each mutant, of either kind, in
+whichever copy is free, with its change applied and undone after.  A
+hand-written mutant (``MUTANTS``) must find its text exactly once in its
+file; it runs the whole of tier-1, and its printed count is the number
+of tests that fail under it but pass unmutated.  With ``--generated`` the
+mutants are the one-node AST mutants of every module in ``src/triqw``
+(see ``generated_mutants``): each runs tier-1 with ``pytest -x`` and the
+unmutated failures deselected, so it is killed by its first failing
+test, a timeout or a crash.  Survivors keyed in
 ``tests/equivalent_mutants.json`` (file, source line text and mutation,
 so moving a line keeps its entry) are known to be equivalent or benign;
 the run prints every other survivor, and every entry that no longer
-names a surviving mutant.  Two copies run side by side.
+names a surviving mutant.
 
 pytest runs from the copy's root: ``pyproject.toml`` puts that root's
 ``src`` first on ``sys.path``, so a copy imported only through
 ``PYTHONPATH`` would test the unmutated checkout instead.  The copy's
 ``conftest.py`` loads a hypothesis profile without the shrink phase and
-without the example database, with derandomized examples: a failing
-property fails either way, but shrinking it can take minutes, and a
-database shared between runs, or fresh random examples, would make one
-mutant's result depend on the run.  Each pytest child has one BLAS
-thread and, like the run itself, at most 4 GiB of address space, so a
-mutant that asks for a huge array fails instead of exhausting the machine.
-
-Every run leaves out ``tests/test_mutation_tooling.py``, the tier-1 check
-that the anchors and the equivalent entries still match ``src/``: a
-mutant rewrites a line of ``src/``, so that check would fail under any
-mutant on a line it reads.
+the example database, with derandomized examples: a failing property
+fails either way, but shrinking can take minutes, and a shared database
+or fresh random examples would make a mutant's result depend on the
+run.  Each pytest child has the benchmark's BLAS thread count and, like
+the run itself, at most 4 GiB of address space, so a mutant that asks
+for a huge array fails instead of exhausting the machine.  Every run
+leaves out ``tests/test_mutation_tooling.py``, the tier-1 check that the
+anchors and the equivalent entries still match ``src/``, which any
+mutant on a line it reads would fail.
 
 Not collected by pytest (the name does not match ``test_*.py``) and not
-part of tier-1; a run takes about 20 s per hand-written mutant on two
-cores, and the generated sweep about 20 minutes with two jobs.
+part of tier-1; with two jobs on two cores the hand-written run takes
+about 10 s per mutant, and the generated sweep about 20 minutes.
 
 Usage: python tests/mutants.py [--checkout DIR] [--generated]
 Exit code 0 if every mutant is killed (generated: every survivor is a
@@ -58,9 +57,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import BLAS_ENV, BLAS_THREADS  # noqa: E402
+
 # (name, file under src/triqw, original text, mutated text)
 MUTANTS = [
-    ("boson-bunching-dropped", "observables.py", "bunching = n * (n - 1.0)", "bunching = 0.0 * n"),
+    ("boson-bunching-dropped", "observables.py", "np.diag(n * (n - 1.0) / 4)", "np.diag(0.0 * n)"),
     (
         "probability-floor-1e-8",
         "entanglement.py",
@@ -222,6 +224,12 @@ MUTANTS = [
     ),
     ("cli-tau-max-renamed", "cli.py", '"--tau-max"', '"--t-max"'),
     (
+        "state-array-eq-restored",
+        "fock.py",
+        "@dataclass(eq=False)\nclass DensityMatrix:",
+        "@dataclass\nclass DensityMatrix:",
+    ),
+    (
         "report-sectors-renamed",
         "entanglement.py",
         "    sectors: tuple[SectorRecord, ...]",
@@ -241,7 +249,7 @@ settings.load_profile("mutants")
 EQUIVALENT = Path(__file__).resolve().parent / "equivalent_mutants.json"
 TOOLING_TEST = "tests/test_mutation_tooling.py"
 MEMORY_LIMIT = 4 << 30
-JOBS = 2  # copies of the checkout that the generated sweep tests side by side
+JOBS = 2  # copies of the checkout that mutants run in side by side
 # Operator swaps of the generated sweep, by AST node class.
 SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult, ast.Pow: ast.Mult,
@@ -331,8 +339,8 @@ def apply(source: str, mutant: Generated) -> str:
 
 
 def _pytest(root: Path, *args: str, timeout: float) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1",
+               **dict.fromkeys(BLAS_ENV, str(BLAS_THREADS)))
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore", TOOLING_TEST, *args],
@@ -350,32 +358,55 @@ def failing_tests(root: Path) -> set[str]:
     }
 
 
-def copy_checkout(checkout: Path, root: Path) -> Path:
-    shutil.copytree(checkout, root, ignore=IGNORE)
-    with open(root / "tests" / "conftest.py", "a") as conftest:
-        conftest.write(PROFILE)
-    return root
+def copies(checkout: Path, tmp: Path) -> list[Path]:
+    """``JOBS`` copies of the checkout under ``tmp``, with the hypothesis profile."""
+    roots = [tmp / f"checkout-{job}" for job in range(JOBS)]
+    for root in roots:
+        shutil.copytree(checkout, root, ignore=IGNORE)
+        with open(root / "tests" / "conftest.py", "a") as conftest:
+            conftest.write(PROFILE)
+    return roots
+
+
+def sweep(roots: list[Path], mutants, test):
+    """``test(root)`` for each ``(file, text)``, in order, with ``text``
+    written over ``file`` of a free copy ``root`` and the file restored
+    after.  The copies run side by side."""
+    free = queue.SimpleQueue()
+    for root in roots:
+        free.put(root)
+
+    def one(mutant):
+        file, text = mutant
+        root = free.get()
+        path = root / "src" / "triqw" / file
+        original = path.read_text()
+        path.write_text(text)
+        try:
+            return test(root)
+        finally:
+            path.write_text(original)
+            free.put(root)
+
+    with ThreadPoolExecutor(len(roots)) as pool:
+        yield from pool.map(one, mutants)
 
 
 def run_hand_written(checkout: Path, tmp: Path) -> int:
-    root = copy_checkout(checkout, tmp / "checkout")
+    texts = []
     for name, file, old, new in MUTANTS:
-        count = (root / "src" / "triqw" / file).read_text().count(old)
-        if count != 1:
-            print(f"error: mutant {name}: text occurs {count} times in {file}")
+        original = (checkout / "src" / "triqw" / file).read_text()
+        if original.count(old) != 1:
+            print(f"error: mutant {name}: text occurs {original.count(old)} times in {file}")
             return 2
-    baseline = failing_tests(root)
+        texts.append((file, original.replace(old, new)))
+    roots = copies(checkout, tmp)
+    baseline = failing_tests(roots[0])
     print(f"unmutated: {len(baseline)} failing tests", flush=True)
     print(f"{'mutant':36} {'file':16} kills")
     survivors = 0
-    for name, file, old, new in MUTANTS:
-        path = root / "src" / "triqw" / file
-        original = path.read_text()
-        path.write_text(original.replace(old, new))
-        try:
-            kills = len(failing_tests(root) - baseline)
-        finally:
-            path.write_text(original)
+    for (name, file, _, _), failing in zip(MUTANTS, sweep(roots, texts, failing_tests)):
+        kills = len(failing - baseline)
         survivors += kills == 0
         print(f"{name:36} {file:16} {kills}", flush=True)
     return 1 if survivors else 0
@@ -384,28 +415,20 @@ def run_hand_written(checkout: Path, tmp: Path) -> int:
 def run_generated(checkout: Path, tmp: Path) -> int:
     mutants = generated_mutants(checkout / "src" / "triqw")
     equivalent = {(e["file"], e["line"], e["mutation"]) for e in json.loads(EQUIVALENT.read_text())}
-    roots = queue.SimpleQueue()
-    for job in range(JOBS):
-        roots.put(copy_checkout(checkout, tmp / f"checkout-{job}"))
-    baseline = sorted(failing_tests(tmp / "checkout-0"))
+    roots = copies(checkout, tmp)
+    baseline = sorted(failing_tests(roots[0]))
     deselect = [arg for test in baseline for arg in ("--deselect", test)]
     print(f"{len(mutants)} mutants; unmutated: {len(baseline)} failing tests deselected", flush=True)
 
-    def survives(mutant: Generated) -> bool:
-        root = roots.get()
-        path = root / "src" / "triqw" / mutant.file
-        original = path.read_text()
-        path.write_text(apply(original, mutant))
+    def survives(root: Path) -> bool:
         try:
             return _pytest(root, "-x", *deselect, timeout=600).returncode == 0
         except subprocess.TimeoutExpired:
             return False
-        finally:
-            path.write_text(original)
-            roots.put(root)
 
-    with ThreadPoolExecutor(JOBS) as pool:
-        survived = [m for m, alive in zip(mutants, pool.map(survives, mutants)) if alive]
+    src = checkout / "src" / "triqw"
+    texts = [(m.file, apply((src / m.file).read_text(), m)) for m in mutants]
+    survived = [m for m, alive in zip(mutants, sweep(roots, texts, survives)) if alive]
     new = [m for m in survived if m.key not in equivalent]
     stale = equivalent - {m.key for m in survived}
     for m in new:
@@ -427,10 +450,9 @@ def main(argv=None) -> int:
     # Set here, not in the children: they inherit it, and a preexec_fn is
     # unsafe next to the generated sweep's threads.
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+    run = run_generated if args.generated else run_hand_written
     with tempfile.TemporaryDirectory(prefix="triqw-mutants-") as tmp:
-        if args.generated:
-            return run_generated(args.checkout.resolve(), Path(tmp))
-        return run_hand_written(args.checkout, Path(tmp))
+        return run(args.checkout.resolve(), Path(tmp))
 
 
 if __name__ == "__main__":

@@ -6,18 +6,18 @@ stdout, its exit code and its stderr (JSON-quoted, so it stays on one
 line).  Two runs diffed line by line show which outputs a change moves,
 byte for byte:
 
-* ``chi``, ``phi-scan``, the four walks (bosons and fermions, adjacent
-  and alternating partitions) and both snapshots at their defaults, in
-  CSV and in JSON;
+* the operations of the benchmark's ``phi-scan`` and ``walk`` workloads
+  (``chi``, ``phi-scan``, the four walks and both snapshots at their
+  defaults), in CSV and in JSON;
 * ``walk --stats bosons --steps 10000`` and ``phi-scan --partition
   1,4|2,5|3,6`` on a 21 x 21 grid;
 * ``perfbench/dephased.py --seed 0`` and ``--seed 7``;
 * configuration errors that exit 2: overflowing, infinite and nan times,
   too few walk samples and too many grid steps.
 
-Children run with one BLAS thread, as the benchmark's do.  Not collected
-by pytest (the name does not match ``test_*.py``) and not part of tier-1;
-a run takes about 10 s.
+Children get the benchmark's BLAS thread count.  Not collected by pytest
+(the name does not match ``test_*.py``) and not part of tier-1; a run
+takes about 10 s.
 
 With ``--diff DIR`` it also runs every output from the checkout DIR and,
 under each output whose stdout differs, prints how many of its numeric
@@ -43,17 +43,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-WALK_PARTITIONS = {"adjacent": "1,2|3,4|5,6", "alternating": "1,4|2,5|3,6"}
-STATS = ("bosons", "fermions")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import BLAS_ENV, BLAS_THREADS, PARTITIONS, cli_ops  # noqa: E402
 
-DEFAULTS = [("chi", ["chi"]), ("phi-scan", ["phi-scan"])]
-DEFAULTS += [
-    (f"walk-{stats}-{name}", ["walk", "--stats", stats, "--partition", partition])
-    for stats in STATS
-    for name, partition in WALK_PARTITIONS.items()
-]
-DEFAULTS += [(f"snapshot-{stats}", ["snapshot", "--stats", stats]) for stats in STATS]
-
+DEFAULTS = cli_ops("phi-scan") + cli_ops("walk")
 CLI_OUTPUTS = [
     (f"{name}-{fmt}", argv + ["--format", fmt]) for name, argv in DEFAULTS for fmt in ("csv", "json")
 ]
@@ -61,7 +54,8 @@ CLI_OUTPUTS += [
     ("walk-bosons-10000-steps", ["walk", "--stats", "bosons", "--steps", "10000"]),
     (
         "phi-scan-alternating-21",
-        ["phi-scan", "--partition", "1,4|2,5|3,6", "--alpha-steps", "21", "--beta-steps", "21"],
+        ["phi-scan", "--partition", PARTITIONS["alternating"], "--alpha-steps", "21",
+         "--beta-steps", "21"],
     ),
     ("error-walk-tau-max-1e308", ["walk", "--tau-max", "1e308"]),
     ("error-walk-tau-max-1.7e308", ["walk", "--tau-max", "1.7e308"]),
@@ -70,24 +64,17 @@ CLI_OUTPUTS += [
     ("error-walk-steps-1", ["walk", "--steps", "1"]),
     ("error-phi-scan-alpha-steps-502", ["phi-scan", "--alpha-steps", "502"]),
 ]
-DEPHASED_SEEDS = (0, 7)
+# (name, argv) of every output, run from the root of a checkout
+OUTPUTS = [(name, [sys.executable, "-m", "triqw.cli", *args]) for name, args in CLI_OUTPUTS]
+OUTPUTS += [(f"dephased-seed-{seed}", [sys.executable, "perfbench/dephased.py", "--seed", str(seed)])
+            for seed in (0, 7)]
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def outputs(checkout: Path):
-    """(name, argv) of every output, run from ``checkout``."""
-    python = sys.executable
-    for name, args in CLI_OUTPUTS:
-        yield name, [python, "-m", "triqw.cli"] + args
-    for seed in DEPHASED_SEEDS:
-        script = str(checkout / "perfbench" / "dephased.py")
-        yield f"dephased-seed-{seed}", [python, script, "--seed", str(seed)]
 
 
 def run(argv, checkout: Path) -> tuple[bytes, int, str]:
     """Stdout, exit code and stderr of one output, run from ``checkout``."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
+               **dict.fromkeys(BLAS_ENV, str(BLAS_THREADS)))
     result = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, timeout=600)
     return result.stdout, result.returncode, result.stderr.decode("utf-8", "replace")
 
@@ -121,13 +108,11 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
     parser.add_argument("--diff", type=Path, metavar="DIR", help="checkout to compare with")
     args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
-    others = outputs(args.diff.resolve()) if args.diff else None
-    for name, command in outputs(checkout):
-        out, code, err = run(command, checkout)
+    for name, command in OUTPUTS:
+        out, code, err = run(command, args.checkout.resolve())
         print(f"{name:34} {hashlib.sha256(out).hexdigest()} {code} {json.dumps(err)}", flush=True)
-        if others is not None:
-            other = run(next(others)[1], args.diff.resolve())
+        if args.diff:
+            other = run(command, args.diff.resolve())
             if other[0] != out:
                 print(f"  {numeric_diff(other[0].decode(), out.decode())}", flush=True)
             if other[1:] != (code, err):

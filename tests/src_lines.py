@@ -3,10 +3,11 @@
 A code line is a line that is not blank, not a comment and not part of a
 docstring (the module's, a class's or a function's).  The last line is
 the number of names in ``triqw.__all__``, read from the package's
-``__init__.py`` without importing it.  Not collected by pytest (the name
-does not match ``test_*.py``).
+``__init__.py`` without importing it.  ``--checkout DIR`` counts the
+package of another checkout, ``DIR/src/triqw``.  Not collected by pytest
+(the name does not match ``test_*.py``).
 
-Usage: python tests/src_lines.py [--src DIR]
+Usage: python tests/src_lines.py [--checkout DIR]
 """
 
 from __future__ import annotations
@@ -49,18 +50,18 @@ def public_names(init: Path) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    default = Path(__file__).resolve().parents[1] / "src" / "triqw"
-    parser.add_argument("--src", type=Path, default=default)
+    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
     args = parser.parse_args(argv)
+    package = args.checkout / "src" / "triqw"
     total = code = 0
     print(f"{'module':20} {'lines':>6} {'code':>6}")
-    for path in sorted(args.src.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         text = path.read_text()
         lines, n_code = len(text.splitlines()), code_lines(text)
         total, code = total + lines, code + n_code
         print(f"{path.name:20} {lines:6} {n_code:6}")
     print(f"{'total':20} {total:6} {code:6}")
-    print(f"{'__all__ names':20} {len(public_names(args.src / '__init__.py')):6}")
+    print(f"{'__all__ names':20} {len(public_names(package / '__init__.py')):6}")
     return 0
 
 

@@ -1,9 +1,11 @@
 """The A/B harness names a commit only for a tree whose ``src`` it is,
 ``--history`` reads both schemas of the committed BENCH files in the order
-they were committed, and each workload pair records the floor child.  The
+they were committed, each workload pair records the floor child, and every
+run is as long as the head tree's ``BENCHMARK.json`` sets.  The
 provenance and history cases build a small git repository in a temporary
 directory."""
 
+import hashlib
 import json
 import subprocess
 
@@ -124,11 +126,14 @@ def test_history_follows_the_order_of_first_commit(checkout, capsys):
     assert "walk-seed11" in lines[2] and "1.3" in lines[2] and "1.1" in lines[2]
 
 
-def fake_run(values):
-    """A stand-in for ``ab.run`` that returns one canned result per call."""
+def fake_run(values, calls=None):
+    """A stand-in for ``ab.run`` that returns one canned result per call and
+    appends each call's ``(tree name, seconds)`` to ``calls``."""
     values = iter(values)
 
     def run(tree, workload, seed, seconds):
+        if calls is not None:
+            calls.append((tree.name, seconds))
         wall, setup = next(values)
         metrics = {"wall_s": {"value": wall}, "setup_s": {"value": setup}}
         provenance = {"src_sha256": tree.name, "nproc": 2}
@@ -138,15 +143,22 @@ def fake_run(values):
     return run
 
 
-def test_each_workload_pair_times_a_floor_child(tmp_path, monkeypatch):
-    import ab
-
+def make_trees(tmp_path):
+    """Base and head trees whose ``BENCHMARK.json`` set different run lengths."""
     spec = [{"name": name, "unit": "s", "better": "lower", "bound": 0.1}
             for name in ("wall_s", "setup_s")]
     trees = {side: tmp_path / side for side in ("base", "head")}
-    for tree in trees.values():
+    for seconds, tree in zip((20, 30), trees.values()):
         tree.mkdir()
-        (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec}))
+        (tree / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": spec, "run_seconds": seconds}))
+    return trees
+
+
+def test_each_workload_pair_times_a_floor_child(tmp_path, monkeypatch):
+    import ab
+
+    trees = make_trees(tmp_path)
     # pair 1 runs base then head, pair 2 head then base
     monkeypatch.setattr(ab, "run", fake_run([(1.0, 0.2), (0.9, 0.3), (0.8, 0.5), (1.1, 0.4)]))
     floors = iter([0.1, 0.3])
@@ -161,6 +173,29 @@ def test_each_workload_pair_times_a_floor_child(tmp_path, monkeypatch):
     assert floor["runs"] == [0.1, 0.3]
     assert [floor[q] for q in ("q1", "median", "q3")] == pytest.approx([0.15, 0.2, 0.25])
     assert floor["measured_setup_s"] == pytest.approx({"base": 0.15, "head": 0.2})
+
+
+def test_every_run_gets_the_head_trees_run_seconds(tmp_path, monkeypatch):
+    import ab
+
+    trees = make_trees(tmp_path)
+    calls = []
+    monkeypatch.setattr(ab, "run", fake_run([(1.0, 0.2)] * 4, calls))
+    monkeypatch.setattr(ab, "time_floor", lambda: 0.1)
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    argv = ["--base", str(trees["base"]), "--head", str(trees["head"]), "--workload", "walk",
+            "--pairs", "2", "--label", "t"]
+    assert ab.main(argv) == 0
+    assert calls == [("base", 30), ("head", 30), ("head", 30), ("base", 30)]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    entry = record["runs"]["walk-seed7"]
+    assert entry["seconds"] == 30
+    # the trees are recorded as for --tier1: the src digest here, no commit
+    empty = {"src_sha256": hashlib.sha256().hexdigest(), "git_commit": None, "dirty": True}
+    assert entry["trees"] == {"base": empty, "head": empty}
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(argv + ["--seconds", "5"])
+    assert exit_info.value.code == 2
 
 
 def test_the_floor_child_imports_numpy():

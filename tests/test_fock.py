@@ -18,6 +18,7 @@ from triqw import (
     bipartite_negativity,
     enumerate_basis,
     phi_scan,
+    project_sector,
     single_particle_propagator,
     walk_scan,
 )
@@ -466,3 +467,29 @@ def test_density_matrix_accepts_hermitian_within_tolerance():
     mat[0, 1] = 0.1 + 0.5e-12
     mat[1, 0] = 0.1
     assert DensityMatrix((2, 2), mat).trace() == pytest.approx(1.0, abs=1e-15)
+
+
+def _equal_valued_states(kind):
+    """Two distinct objects of ``kind`` with equal values."""
+    basis = enumerate_basis(3, 6, FER)
+    rng = np.random.default_rng(0)
+    amp = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    state = ManyBodyState(basis, amp / np.linalg.norm(amp))
+    if kind == "ManyBodyState":
+        return ManyBodyState(basis, state.amp), ManyBodyState(basis, state.amp.copy())
+    if kind == "DensityMatrix":
+        mat = np.outer(state.amp, state.amp.conj())
+        return DensityMatrix((len(basis),), mat), DensityMatrix((len(basis),), mat.copy())
+    # a SectorState holds a DensityMatrix block
+    return tuple(project_sector(state, ADJACENT_PARTITION, (1, 1, 1)) for _ in range(2))
+
+
+@pytest.mark.parametrize("kind", ["ManyBodyState", "DensityMatrix", "SectorState"])
+def test_states_compare_by_identity_and_hash(kind):
+    # a field-wise == would compare the numpy arrays and raise "the truth
+    # value of an array ... is ambiguous"
+    a, b = _equal_valued_states(kind)
+    assert a == a
+    assert not a == b
+    assert a != b
+    assert len({a, b, a}) == 2

@@ -3,14 +3,15 @@
 ``tests/equivalent_mutants.json`` still names a generated mutant.  A stale
 anchor makes the hand-written run exit 2, and a stale entry hides nothing
 but is reported only at the end of the generated sweep, so both fail here
-in well under a second instead."""
+in well under a second instead.  One runner serves both kinds of mutant;
+it is checked here on a stand-in test that only reads the mutated file."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from mutants import EQUIVALENT, MUTANTS, generated_mutants
+from mutants import EQUIVALENT, MUTANTS, generated_mutants, sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "triqw"
 
@@ -28,3 +29,14 @@ def test_equivalent_entries_name_generated_mutants():
         assert entry["line"] in lines, entry
         assert (entry["file"], entry["line"], entry["mutation"]) in keys, entry
     assert len({(e["file"], e["line"], e["mutation"]) for e in entries}) == len(entries)
+
+
+def test_sweep_tests_each_text_in_a_copy_and_restores_the_file(tmp_path):
+    roots = [tmp_path / f"copy-{job}" for job in range(2)]
+    for root in roots:
+        (root / "src" / "triqw").mkdir(parents=True)
+        (root / "src" / "triqw" / "m.py").write_text("x = 0\n")
+    texts = [("m.py", f"x = {i}\n") for i in range(1, 8)]
+    seen = sweep(roots, texts, lambda root: (root / "src" / "triqw" / "m.py").read_text())
+    assert list(seen) == [text for _, text in texts]
+    assert [(root / "src" / "triqw" / "m.py").read_text() for root in roots] == ["x = 0\n"] * 2
