@@ -59,11 +59,6 @@ from .fock import DensityMatrix, FockBasis, ManyBodyState, _integer, _integers, 
 
 PROBABILITY_FLOOR = 1e-14
 NEGATIVITY_TRACE_TOL = 1e-10
-# States per chunk in _eps_t_kernel.  A chunk holds the sector blocks of
-# its states and their three partial transposes for one eigensolve call,
-# so a long batch goes in chunks and those stacks stay small next to the
-# batch itself.
-_EIGENSOLVE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -376,9 +371,9 @@ def _negativity(stack: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     floored at 0.  One gather through ``_transpose_index`` takes every
     cut, and the transposes are Hermitian, so one batched Hermitian solve
     takes them all; LAPACK solves each on its own, reading one
-    triangle."""
+    triangle.  An empty stack (P = 0) gives an empty (0, len(dims))."""
     size = stack.shape[-1]
-    transposes = stack.reshape(len(stack), -1)[:, _transpose_index(dims)]
+    transposes = stack.reshape(len(stack), size * size)[:, _transpose_index(dims)]
     eig = np.linalg.eigvalsh(transposes.reshape(transposes.shape[:2] + (size, size)))
     return np.maximum(0.0, np.abs(eig).sum(axis=-1) - 1.0)
 
@@ -460,11 +455,11 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     at most (1, 1, 1)) the path depends on the input.  An amplitude stack
     in a sector of dims (2, 2, 2) sends all its states above the floor
     through ``_qubit_negativity``, the closed form of a pure three-qubit
-    state, whose working set is (P, 8).  Otherwise, up to
-    _EIGENSOLVE_CHUNK of its states at a time, ``_sector_blocks`` builds
-    their normalised blocks and ``_negativity`` takes the three cuts in
-    one stacked eigensolve.  Those are the functions behind
-    ``project_sector``, ``bipartite_negativity`` and
+    state, whose working set is (P, 8).  Otherwise ``_sector_blocks``
+    builds the normalised blocks of all those states and ``_negativity``
+    takes their three cuts in one stacked eigensolve, so the batch that
+    the caller passes bounds that working set.  Those are the functions
+    behind ``project_sector``, ``bipartite_negativity`` and
     ``tripartite_negativity``, so on that path a batch of one gives bit
     for bit what they give on the same sector; the closed form agrees
     with them to roundoff.  A state's outputs do not depend on the other
@@ -478,18 +473,11 @@ def _eps_t_kernel(dec: SectorDecomposition, states: np.ndarray):
     for k, sector in dec._live:
         rows = probs[:, k].nonzero()[0]
         if states.ndim == 2 and sector.dims == (2, 2, 2):
-            amps = _local_amplitudes(sector, states, rows, probs[rows, k])
-            cuts = [(rows, _qubit_negativity(amps))]
+            cut = _qubit_negativity(_local_amplitudes(sector, states, rows, probs[rows, k]))
         else:
-            starts = range(0, len(rows), _EIGENSOLVE_CHUNK)
-            chunks = (rows[lo : lo + _EIGENSOLVE_CHUNK] for lo in starts)
-            cuts = (
-                (b, _negativity(_sector_blocks(sector, states, b, probs[b, k]), sector.dims))
-                for b in chunks
-            )
-        for b, cut in cuts:
-            negs[b, k, :3] = cut
-            negs[b, k, 3] = np.cbrt(cut.prod(axis=-1))
+            cut = _negativity(_sector_blocks(sector, states, rows, probs[rows, k]), sector.dims)
+        negs[rows, k, :3] = cut
+        negs[rows, k, 3] = np.cbrt(cut.prod(axis=-1))
     return probs, negs, (probs * negs[..., 3]).sum(axis=1)
 
 

@@ -4,20 +4,22 @@ Each scan returns plain arrays; serialization stays in the CLI.  The scans
 call the same batched kernels as the per-state measures: the phase-grid
 scan passes each alpha row (one ``phi_weights`` call, scattered into
 tensors by ``mode_qubit_tensor`` as ``geometric_measure`` does) to the
-``eps_T`` and ``eps_G`` kernels.  The walk builds all its propagators in
-one call and their amplitudes through one plan, with no per-time state,
-and passes them to the ``eps_T`` kernel in one call.  Both take the shared
+``eps_T`` and ``eps_G`` kernels.  The walk takes its time grid in blocks
+of _WALK_BLOCK times: each block's propagators in one call, their
+amplitudes through one plan, with no per-time state, and the ``eps_T``
+kernel in one call, writing its rows into outputs allocated up front, so
+its memory does not grow with the step count.  Both take the shared
 sector decomposition of their basis and partition.  The kernels give a
 state the same bits in any batch, so every scan value equals the
-per-state function's value on the same state.  Sample counts are
-capped (MAX_GRID_STEPS per phase axis, MAX_TIME_SAMPLES per walk) because
-memory grows with them; larger requests are rejected before anything is
-allocated.  The walk and the snapshot check their initial occupation
-(``fock._occupations``) and time (``fock._real``) once, before they build
-anything from them, and hand the checked times to the propagator
-(``dynamics._propagator``) without a second check.  Each default
-(GRID_STEPS, TAU_MAX, TIME_SAMPLES) is named once, here; the CLI imports
-it.  The chain has no energy parameter.
+per-state function's value on the same state, whatever the block size.
+Sample counts are capped (MAX_GRID_STEPS per phase axis,
+MAX_TIME_SAMPLES per walk) to bound run time and output size; larger
+requests are rejected before anything is allocated.  The walk and the
+snapshot check their initial occupation (``fock._occupations``) and time
+(``fock._real``) once, before they build anything from them, and hand
+the checked times to the propagator (``dynamics._propagator``) without a
+second check.  Each default (GRID_STEPS, TAU_MAX, TIME_SAMPLES) is named
+once, here; the CLI imports it.  The chain has no energy parameter.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ MAX_GRID_STEPS = 501
 TAU_MAX = 20.0
 TIME_SAMPLES = 400
 MAX_TIME_SAMPLES = 10_000
+# Times per block of the walk.  Each block goes through the propagator, the
+# amplitudes and the eps_T kernel on its own, so the walk's working set
+# follows this, not the step count.
+_WALK_BLOCK = 64
 
 
 def _sample_count(count, limit: int, what: str) -> int:
@@ -136,13 +142,14 @@ def walk_scan(
     basis = enumerate_basis(sum(init), len(init), stats)
     dec = _decomposition(basis, partition)
     taus = np.linspace(0.0, tau_max, steps)
-    coeffs = _propagator(len(init), taus)
-    amps = _monomial_amplitudes(basis, init, coeffs)
-    probs, negs, eps_t = _eps_t_kernel(dec, amps)
-    single = np.zeros((steps, 5))
-    if (1, 1, 1) in dec.sectors:
-        k = list(dec.sectors).index((1, 1, 1))
-        single = np.column_stack([probs[:, k], negs[:, k]])
+    single, eps_t = np.zeros((steps, 5)), np.zeros(steps)
+    for lo in range(0, steps, _WALK_BLOCK):
+        block = slice(lo, lo + _WALK_BLOCK)
+        amps = _monomial_amplitudes(basis, init, _propagator(len(init), taus[block]))
+        probs, negs, eps_t[block] = _eps_t_kernel(dec, amps)
+        if (1, 1, 1) in dec.sectors:
+            k = list(dec.sectors).index((1, 1, 1))
+            single[block] = np.column_stack([probs[:, k], negs[:, k]])
     return WalkScan(taus, *single.T, eps_t)
 
 

@@ -90,8 +90,8 @@ MUTANTS = [
     (
         "tpn-arithmetic-mean",
         "entanglement.py",
-        "negs[b, k, 3] = np.cbrt(cut.prod(axis=-1))",
-        "negs[b, k, 3] = cut.mean(axis=-1)",
+        "negs[rows, k, 3] = np.cbrt(cut.prod(axis=-1))",
+        "negs[rows, k, 3] = cut.mean(axis=-1)",
     ),
     (
         "public-tpn-arithmetic-mean",
@@ -180,6 +180,12 @@ MUTANTS = [
         "if False:",
     ),
     ("walk-default-steps", "scans.py", "TIME_SAMPLES = 400", "TIME_SAMPLES = 401"),
+    (
+        "walk-block-tail-dropped",
+        "scans.py",
+        "for lo in range(0, steps, _WALK_BLOCK):",
+        "for lo in range(0, steps - steps % _WALK_BLOCK, _WALK_BLOCK):",
+    ),
     (
         "plan-rows-ascending",
         "fock.py",

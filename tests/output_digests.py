@@ -9,8 +9,9 @@ byte for byte:
 * the operations of the benchmark's ``phi-scan`` and ``walk`` workloads
   (``chi``, ``phi-scan``, the four walks and both snapshots at their
   defaults), in CSV and in JSON;
-* ``walk --stats bosons --steps 10000`` and ``phi-scan --partition
-  1,4|2,5|3,6`` on a 21 x 21 grid;
+* ``walk --stats bosons --steps 10000``, a 1001-step fermion walk on
+  the alternating partition, whose last block of times is partial, and
+  ``phi-scan --partition 1,4|2,5|3,6`` on a 21 x 21 grid;
 * ``perfbench/dephased.py --seed 0`` and ``--seed 7``;
 * configuration errors that exit 2: overflowing, infinite and nan times,
   too few walk samples and too many grid steps.
@@ -52,6 +53,11 @@ CLI_OUTPUTS = [
 ]
 CLI_OUTPUTS += [
     ("walk-bosons-10000-steps", ["walk", "--stats", "bosons", "--steps", "10000"]),
+    (
+        "walk-fermions-alternating-1001",
+        ["walk", "--stats", "fermions", "--partition", PARTITIONS["alternating"], "--steps", "1001",
+         "--format", "json"],
+    ),
     (
         "phi-scan-alternating-21",
         ["phi-scan", "--partition", PARTITIONS["alternating"], "--alpha-steps", "21",

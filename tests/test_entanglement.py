@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from triqw import (
     tripartite_negativity,
     walk_scan,
 )
+import triqw.scans
 from triqw import entanglement
 from triqw.entanglement import (
     PROBABILITY_FLOOR,
@@ -63,6 +65,8 @@ from triqw.states import phi_basis
 
 BOS = Statistics.BOSONS
 FER = Statistics.FERMIONS
+NINE_MODE_PARTITION = Partition((1, 2, 3), (4, 5, 6), (7, 8, 9))
+NINE_MODE_INIT = (1, 1, 1, 0, 0, 0, 0, 0, 0)
 
 
 def random_state(basis, seed):
@@ -750,28 +754,32 @@ class TestEpsTKernel:
                 assert np.abs(sec.rho.mat - same.rho.mat).max() <= 1e-14
 
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_eigensolve_chunks_match_single_states(self, monkeypatch, rank):
-        # five live states: density blocks in chunks of 2, 2 and 1, pure
-        # (2, 2, 2) blocks in one closed-form call
-        monkeypatch.setattr(entanglement, "_EIGENSOLVE_CHUNK", 2)
-        basis = enumerate_basis(3, 6, BOS)
-        dec = _decomposition(basis, ALTERNATING_PARTITION)
-        states = random_stack(basis, 11, 5, rank)
+    @pytest.mark.parametrize("modes", [6, 9])
+    def test_no_live_rows_gives_zero_negativities(self, rank, modes):
+        # Every (1, 1, 1) probability is 0 or below the floor, so the live
+        # sector's blocks are an empty stack: on the closed form (pure, six
+        # modes) and on the eigen path (density input, or the (3, 3, 3)
+        # blocks of three-mode parties).
+        third = modes // 3
+        partition = Partition(*(tuple(range(p * third + 1, (p + 1) * third + 1)) for p in range(3)))
+        basis = enumerate_basis(3, modes, BOS)
+        dec = _decomposition(basis, partition)
+        k = list(dec.sectors).index((1, 1, 1))
+        states = random_stack(basis, 17, 3, 1)
+        states[:, dec.sectors[(1, 1, 1)].index] *= np.array([[0.0], [1e-8], [1e-9]])
+        if rank == 2:
+            states = states[:, :, None] * states[:, None, :].conj()
         probs, negs, eps_t = _eps_t_kernel(dec, states)
-        assert negs[:, list(dec.sectors).index((1, 1, 1)), 3].all()
-        for b in range(len(states)):
-            single = _eps_t_kernel(dec, states[b : b + 1])
-            for batched, alone in zip((probs, negs, eps_t), single):
-                assert np.abs(batched[b] - alone[0]).max() <= 1e-12
+        assert probs.any(axis=1).all() and not probs[:, k].any()
+        assert not negs.any() and not eps_t.any()
 
     @pytest.mark.parametrize(
-        "n_particles, rank, calls", [(3, 1, 0), (3, 2, 2), (4, 1, 3 * 2), (4, 2, 3 * 2)]
+        "n_particles, rank, calls", [(3, 1, 0), (3, 2, 1), (4, 1, 3), (4, 2, 3)]
     )
     def test_eigensolves_per_live_sector(self, monkeypatch, n_particles, rank, calls):
-        # 40 states, chunks of 32 and 8: pure (2, 2, 2) blocks make no
-        # eigensolve, density blocks and four bosons' (3, 2, 2) blocks one
-        # per chunk of each live sector (one for three particles, three
-        # for four)
+        # 40 states in one call: pure (2, 2, 2) blocks make no eigensolve,
+        # density blocks and four bosons' (3, 2, 2) blocks one per live
+        # sector (one for three particles, three for four)
         eigvalsh = np.linalg.eigvalsh
         seen = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))
@@ -779,6 +787,43 @@ class TestEpsTKernel:
         dec = _decomposition(basis, ALTERNATING_PARTITION)
         _eps_t_kernel(dec, random_stack(basis, 5, 40, rank))
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("steps", [2, 23])
+    @pytest.mark.parametrize(
+        "stats, partition, init",
+        [
+            *itertools.product([BOS, FER], [ADJACENT_PARTITION, ALTERNATING_PARTITION], [WALK_INIT]),
+            (FER, NINE_MODE_PARTITION, NINE_MODE_INIT),
+        ],
+    )
+    def test_walk_blocks_match_one_block(self, monkeypatch, steps, stats, partition, init):
+        # Blocks of 1, of 7 (23 = 3 x 7 + 2 leaves a partial last block)
+        # and of more than the step count (one block) give the same bits
+        # in every field.
+        results = {}
+        for block in (steps + 1, 1, 7):
+            monkeypatch.setattr(triqw.scans, "_WALK_BLOCK", block)
+            results[block] = walk_scan(stats, partition, steps=steps, init=init)
+        whole = results.pop(steps + 1)
+        assert whole.p111.any()
+        for block, scan in results.items():
+            for name, ours, theirs in zip(whole._fields, scan, whole):
+                assert ours.tobytes() == theirs.tobytes(), (block, name)
+
+    def test_walk_memory_does_not_grow_with_steps(self):
+        # The traced peak beyond the returned columns, which hold 7 x 8
+        # bytes per step, stays within twice its 400-step value at the
+        # 10 000-step cap.
+        def peak_beyond_outputs(steps):
+            tracemalloc.start()
+            try:
+                scan = walk_scan(FER, steps=steps)
+                return tracemalloc.get_traced_memory()[1] - sum(col.nbytes for col in scan)
+            finally:
+                tracemalloc.stop()
+
+        walk_scan(FER, steps=2)  # builds the cached plans outside the trace
+        assert peak_beyond_outputs(10_000) <= 2 * peak_beyond_outputs(400)
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     @pytest.mark.parametrize("partition", [ADJACENT_PARTITION, ALTERNATING_PARTITION])

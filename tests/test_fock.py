@@ -22,6 +22,7 @@ from triqw import (
     single_particle_propagator,
     walk_scan,
 )
+from triqw.scans import TIME_SAMPLES
 from triqw.fock import (
     FockBasis,
     _expansion_plan,
@@ -314,9 +315,11 @@ class TestWalkAmplitudePath:
         self.count_calls(monkeypatch, calls, triqw.dynamics, "_propagator")
         _expansion_plan.cache_clear()
         walk_scan(BOS, ADJACENT_PARTITION)
-        assert calls == {"_occupations": 1, "_propagator": 1}
+        # one propagator call and one plan lookup per block of times
+        blocks = math.ceil(TIME_SAMPLES / triqw.scans._WALK_BLOCK)
+        assert calls == {"_occupations": 1, "_propagator": blocks}
         info = _expansion_plan.cache_info()
-        assert (info.misses, info.hits) == (1, 0)
+        assert (info.misses, info.hits) == (1, blocks - 1)
 
     @pytest.mark.parametrize("stats", [BOS, FER])
     def test_an_exact_zero_shares_the_plan(self, stats):
