@@ -654,7 +654,7 @@ class TestEpsTKernel:
         rank=st.sampled_from([1, 2]),
     )
     def test_batch_equals_batches_of_one(self, stats, n_particles, modes, seed, batch, rank):
-        # up to 40 states, so a live sector can span two eigensolve chunks
+        # up to 40 states in one call, each equal to its batch of one
         partition = Partition(modes[:2], modes[2:4], modes[4:])
         basis = enumerate_basis(n_particles, 6, stats)
         dec = _decomposition(basis, partition)
